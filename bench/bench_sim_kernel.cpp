@@ -262,22 +262,15 @@ int main() {
   // ---- 5. FLC example through the interpreter, per engine ----
   // End-to-end: compile/intern time plus data-plane execution on the
   // paper's fuzzy-logic controller spec. Run once per engine so the
-  // bytecode VM's speedup over the AST reference walker — and the native
-  // engine's over the VM — is recorded. The native leg's first repetition
-  // pays the AOT compile; best-of-N keeps the warm (artifact-cached)
-  // timing, which is the steady state every later run in this process or
-  // any other sees.
+  // bytecode VM's speedup over the AST reference walker is recorded.
   {
     const int flc_repeats = smoke ? 1 : 5;
     const spec::System flc = suite::make_flc_full();
-    const char* engine_names[3] = {"vm", "ast", "native"};
-    double engine_ms[3] = {1e300, 1e300, 1e300};
-    std::uint64_t end_time[3] = {0, 0, 0};
-    bool native_engaged = false;
-    for (Engine engine : {Engine::kVm, Engine::kAst, Engine::kNative}) {
-      const int idx = engine == Engine::kVm    ? 0
-                      : engine == Engine::kAst ? 1
-                                               : 2;
+    const char* engine_names[2] = {"vm", "ast"};
+    double engine_ms[2] = {1e300, 1e300};
+    std::uint64_t end_time[2] = {0, 0};
+    for (Engine engine : {Engine::kVm, Engine::kAst}) {
+      const int idx = engine == Engine::kVm ? 0 : 1;
       for (int rep = 0; rep < flc_repeats; ++rep) {
         const auto start = Clock::now();
         SimulationRun run = simulate(flc, 1'000'000, false, {}, engine);
@@ -291,32 +284,23 @@ int main() {
             std::chrono::duration<double, std::milli>(stop - start).count();
         if (ms < engine_ms[idx]) engine_ms[idx] = ms;
         end_time[idx] = run.result.end_time;
-        if (idx == 2) native_engaged = run.interpreter->native() != nullptr;
       }
     }
-    if (end_time[0] != end_time[1] || end_time[0] != end_time[2]) {
-      std::printf("FLC engines disagree on end_time: vm=%llu ast=%llu "
-                  "native=%llu\n",
+    if (end_time[0] != end_time[1]) {
+      std::printf("FLC engines disagree on end_time: vm=%llu ast=%llu\n",
                   static_cast<unsigned long long>(end_time[0]),
-                  static_cast<unsigned long long>(end_time[1]),
-                  static_cast<unsigned long long>(end_time[2]));
+                  static_cast<unsigned long long>(end_time[1]));
       return 1;
     }
-    if (!native_engaged) {
-      std::printf("note: native engine fell back to the VM; native numbers "
-                  "are VM numbers\n");
-    }
     const double speedup = engine_ms[0] > 0 ? engine_ms[1] / engine_ms[0] : 0;
-    std::printf("flc_interpreter  vm %8.2f ms | ast %8.2f ms | native "
-                "%8.2f ms | %.2fx (%llu cycles)\n",
-                engine_ms[0], engine_ms[1], engine_ms[2], speedup,
+    std::printf("flc_interpreter  vm %8.2f ms | ast %8.2f ms | %.2fx "
+                "(%llu cycles)\n",
+                engine_ms[0], engine_ms[1], speedup,
                 static_cast<unsigned long long>(end_time[0]));
     // flc_interpreter_ms keeps its historical meaning: the default engine.
     json.set("flc_interpreter_ms", engine_ms[0]);
     json.set("flc_interpreter_vm_ms", engine_ms[0]);
     json.set("flc_interpreter_ast_ms", engine_ms[1]);
-    json.set("flc_native_ms", engine_ms[2]);
-    json.set("flc_native_engaged", native_engaged ? 1 : 0);
     json.set("flc_speedup", speedup);
     json.set("flc_end_time", static_cast<double>(end_time[0]));
   }
@@ -361,13 +345,11 @@ int main() {
       dense.add_process(std::move(p));
     }
 
-    const char* engine_names[3] = {"vm", "ast", "native"};
-    double engine_ms[3] = {1e300, 1e300, 1e300};
-    std::uint64_t end_time[3] = {0, 0, 0};
-    for (Engine engine : {Engine::kVm, Engine::kAst, Engine::kNative}) {
-      const int idx = engine == Engine::kVm    ? 0
-                      : engine == Engine::kAst ? 1
-                                               : 2;
+    const char* engine_names[2] = {"vm", "ast"};
+    double engine_ms[2] = {1e300, 1e300};
+    std::uint64_t end_time[2] = {0, 0};
+    for (Engine engine : {Engine::kVm, Engine::kAst}) {
+      const int idx = engine == Engine::kVm ? 0 : 1;
       for (int rep = 0; rep < repeats; ++rep) {
         const auto start = Clock::now();
         SimulationRun run = simulate(dense, 10'000'000, false, {}, engine);
@@ -383,22 +365,19 @@ int main() {
         end_time[idx] = run.result.end_time;
       }
     }
-    if (end_time[0] != end_time[1] || end_time[0] != end_time[2]) {
+    if (end_time[0] != end_time[1]) {
       std::printf("dense_wakeup engines disagree on end_time: vm=%llu "
-                  "ast=%llu native=%llu\n",
+                  "ast=%llu\n",
                   static_cast<unsigned long long>(end_time[0]),
-                  static_cast<unsigned long long>(end_time[1]),
-                  static_cast<unsigned long long>(end_time[2]));
+                  static_cast<unsigned long long>(end_time[1]));
       return 1;
     }
     const double speedup = engine_ms[0] > 0 ? engine_ms[1] / engine_ms[0] : 0;
-    std::printf("dense_wakeup     vm %8.2f ms | ast %8.2f ms | native "
-                "%8.2f ms | %.2fx (%d listeners x %d rounds)\n",
-                engine_ms[0], engine_ms[1], engine_ms[2], speedup, listeners,
-                rounds);
+    std::printf("dense_wakeup     vm %8.2f ms | ast %8.2f ms | %.2fx "
+                "(%d listeners x %d rounds)\n",
+                engine_ms[0], engine_ms[1], speedup, listeners, rounds);
     json.set("dense_wakeup_vm_ms", engine_ms[0]);
     json.set("dense_wakeup_ast_ms", engine_ms[1]);
-    json.set("dense_wakeup_native_ms", engine_ms[2]);
     json.set("dense_wakeup_speedup", speedup);
   }
 
@@ -474,22 +453,19 @@ int main() {
 
     const char* saved = std::getenv("IFSYN_SIM_OPT");
     const std::string saved_value = saved != nullptr ? saved : "";
-    // [0] = optimized VM, [1] = reference VM, [2] = native (over the same
-    // optimized bytecode the emitter lowers, so the ratio vs [0] isolates
-    // AOT codegen vs bytecode dispatch).
-    double level_ms[3] = {1e300, 1e300, 1e300};
-    std::uint64_t end_time[3] = {0, 0, 0};
-    bool native_engaged = false;
+    // [0] = optimized VM, [1] = reference VM.
+    double level_ms[2] = {1e300, 1e300};
+    std::uint64_t end_time[2] = {0, 0};
     // Interleave the legs within each repetition so host-speed drift
     // (frequency scaling, background load) biases all sides equally
     // instead of whichever leg happened to run second.
     const int opt_repeats = smoke ? 1 : 5;
     for (int rep = 0; rep < opt_repeats; ++rep) {
-      for (int idx = 0; idx < 3; ++idx) {
+      for (int idx = 0; idx < 2; ++idx) {
         ::setenv("IFSYN_SIM_OPT", idx == 1 ? "0" : "1", 1);
-        const Engine engine = idx == 2 ? Engine::kNative : Engine::kVm;
         const auto start = Clock::now();
-        SimulationRun run = simulate(xfer, 100'000'000, false, {}, engine);
+        SimulationRun run =
+            simulate(xfer, 100'000'000, false, {}, Engine::kVm);
         const auto stop = Clock::now();
         if (!run.result.status.is_ok()) {
           std::printf("sim_opt_xfer (leg=%d) failed: %s\n", idx,
@@ -500,7 +476,6 @@ int main() {
             std::chrono::duration<double, std::milli>(stop - start).count();
         if (ms < level_ms[idx]) level_ms[idx] = ms;
         end_time[idx] = run.result.end_time;
-        if (idx == 2) native_engaged = run.interpreter->native() != nullptr;
       }
     }
     if (saved != nullptr) {
@@ -508,34 +483,22 @@ int main() {
     } else {
       ::unsetenv("IFSYN_SIM_OPT");
     }
-    if (end_time[0] != end_time[1] || end_time[0] != end_time[2]) {
+    if (end_time[0] != end_time[1]) {
       std::printf("sim_opt_xfer legs disagree on end_time: opt=%llu "
-                  "ref=%llu native=%llu\n",
+                  "ref=%llu\n",
                   static_cast<unsigned long long>(end_time[0]),
-                  static_cast<unsigned long long>(end_time[1]),
-                  static_cast<unsigned long long>(end_time[2]));
+                  static_cast<unsigned long long>(end_time[1]));
       return 1;
-    }
-    if (!native_engaged) {
-      std::printf("note: native engine fell back to the VM; native numbers "
-                  "are VM numbers\n");
     }
     const double speedup =
         level_ms[0] > 0 ? level_ms[1] / level_ms[0] : 0;
-    const double native_speedup =
-        level_ms[2] > 0 ? level_ms[0] / level_ms[2] : 0;
-    std::printf("sim_opt_xfer    opt %8.2f ms | ref %8.2f ms | native "
-                "%8.2f ms | %.2fx opt/ref | %.2fx native/opt "
+    std::printf("sim_opt_xfer    opt %8.2f ms | ref %8.2f ms | %.2fx opt/ref "
                 "(%d streams x %d elems x %d passes, %llu cycles)\n",
-                level_ms[0], level_ms[1], level_ms[2], speedup, native_speedup,
-                streams, elems, passes,
+                level_ms[0], level_ms[1], speedup, streams, elems, passes,
                 static_cast<unsigned long long>(end_time[0]));
     json.set("sim_opt_xfer_opt_ms", level_ms[0]);
     json.set("sim_opt_xfer_ref_ms", level_ms[1]);
-    json.set("sim_native_xfer_ms", level_ms[2]);
     json.set("sim_opt_speedup_xfer", speedup);
-    json.set("sim_native_speedup_xfer", native_speedup);
-    json.set("sim_native_xfer_engaged", native_engaged ? 1 : 0);
     json.set("sim_opt_xfer_end_time", static_cast<double>(end_time[0]));
   }
 

@@ -103,10 +103,6 @@
 #include "check/trace_miner.hpp"
 #include "codegen/vhdl_emitter.hpp"
 #include "core/equivalence.hpp"
-#include "suite/answering_machine.hpp"
-#include "suite/ethernet_coprocessor.hpp"
-#include "suite/fig3_example.hpp"
-#include "suite/flc.hpp"
 #include "core/interface_synthesizer.hpp"
 #include "core/report.hpp"
 #include "explore/explorer.hpp"
@@ -118,6 +114,7 @@
 #include "serve/json.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
+#include "serve/spec_intern.hpp"
 #include "sim/vcd.hpp"
 #include "spec/parser.hpp"
 #include "spec/printer.hpp"
@@ -175,31 +172,17 @@ bool write_file(const std::string& path, const std::string& content) {
 }
 
 /// Load the system to check: a builtin case study or a parsed spec file.
-/// Builtins also fill the calibration overrides their tests synthesize
-/// with, so the rate re-check runs under the same model.
+/// Builtins resolve through serve's table and bring its defaults (the
+/// calibration and arbitration their case study is defined with), so the
+/// rate re-check runs under the same model as a serve request.
 Result<spec::System> load_check_target(const std::string& target,
                                        core::SynthesisOptions& options) {
-  if (target == "builtin:flc") {
-    options.compute_cycles_override = {
-        {"EVAL_R3", suite::FlcCalibration::kEvalR3ComputeCycles},
-        {"CONV_R2", suite::FlcCalibration::kConvR2ComputeCycles},
-    };
-    return suite::make_flc_kernel();
-  }
-  if (target == "builtin:am") {
-    options.arbitrate = true;  // concurrent masters share AMBUS
-    return suite::make_answering_machine();
-  }
-  if (target == "builtin:ethernet") {
-    options.arbitrate = true;
-    return suite::make_ethernet_coprocessor();
-  }
-  if (target == "builtin:fig3") return suite::make_fig3_system();
-  if (target.rfind("builtin:", 0) == 0) {
-    return invalid_argument("unknown builtin '" + target +
-                            "' (flc, am, ethernet, fig3)");
-  }
-  return spec::parse_system_file(target);
+  if (target.rfind("builtin:", 0) != 0) return spec::parse_system_file(target);
+  Result<serve::BuiltinSpec> builtin = serve::find_builtin(target.substr(8));
+  if (!builtin.is_ok()) return builtin.status();
+  options.arbitrate = options.arbitrate || builtin->defaults.arbitrate;
+  options.compute_cycles_override = builtin->defaults.compute_cycles_override;
+  return builtin->make();
 }
 
 int check_main(int argc, char** argv, const char* argv0) {

@@ -9,7 +9,7 @@
 //
 // The two sides close a loop that each catches bugs the other cannot:
 // the static FSM sees code the run never reached; the trace sees what
-// the engines (VM, optimizer, native codegen) really committed to the
+// the engines (AST walker, VM, optimizer) really committed to the
 // wires. A disagreement means either protocol generation emitted
 // something it did not claim, or an execution engine skewed the
 // waveform -- both are bugs this report turns into test failures.

@@ -154,7 +154,13 @@ Result<SynthesisReport> InterfaceSynthesizer::run(spec::System& system) const {
       bus_report.id_bits = group->id_bits;
       bus_report.control_lines = group->control_lines;
       bus_report.total_wires = group->total_wires();
-      report.dedicated_data_pins += bus_report.generation.total_channel_bits;
+    }
+    // Pins come from every bus in the system, not from the generator's
+    // results: a bus whose width the spec pins never reaches generation.
+    for (const auto& group : system.buses()) {
+      for (const spec::Channel* ch : system.channels_of_bus(*group)) {
+        report.dedicated_data_pins += ch->message_bits();
+      }
       report.merged_data_pins += group->width;
     }
     if (report.dedicated_data_pins > 0) {

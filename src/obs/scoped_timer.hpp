@@ -32,7 +32,7 @@ class EventLog;
 /// instrumented code emits to the owning request (args.trace_id in the
 /// Chrome trace); engine code never reads it directly. `log` (optional,
 /// rate-limited — see obs/log.hpp) carries structured warnings such as the
-/// sim engine's native-to-VM fallback notices.
+/// sim's unknown-IFSYN_SIM_ENGINE notice.
 struct ObsContext {
   MetricsRegistry* metrics = nullptr;
   TraceSink* trace = nullptr;

@@ -81,15 +81,6 @@ Service::Service(ServiceOptions options)
                                         obs::Determinism::kWallClock),
                      &registry_.counter("serve.program_cache.evictions",
                                         obs::Determinism::kWallClock)),
-      native_cache_(options_.native_cache_capacity,
-                    &registry_.counter("serve.native_cache.hits",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.misses",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.evictions",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.compiles",
-                                       obs::Determinism::kWallClock)),
       c_submitted_(registry_.counter("serve.requests.submitted",
                                      obs::Determinism::kWallClock)),
       c_ok_(registry_.counter("serve.responses.ok",
@@ -120,12 +111,10 @@ Service::Service(ServiceOptions options)
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_request_threads < 1) options_.max_request_threads = 1;
   // Every simulation this process runs from now on — cosim legs,
-  // validation runs, across all workers — shares compiled bytecode, and
-  // (under IFSYN_SIM_ENGINE=native) dlopen'd native artifacts.
+  // validation runs, across all workers — shares compiled bytecode.
   sim::bytecode::install_process_cache(&program_cache_);
-  sim::native::install_native_cache(&native_cache_);
-  // The effective engine for this process's simulations, alongside the
-  // opt level /stats already reports: 0=vm, 1=ast, 2=native.
+  // The engine for this process's simulations, alongside the opt level
+  // /stats already reports: 0=vm, 1=ast.
   registry_.gauge("serve.sim_engine", obs::Determinism::kWallClock)
       .set(static_cast<std::int64_t>(sim::engine_from_env()));
 }
@@ -134,9 +123,6 @@ Service::~Service() {
   stop();
   if (sim::bytecode::process_cache() == &program_cache_) {
     sim::bytecode::install_process_cache(nullptr);
-  }
-  if (sim::native::process_native_cache() == &native_cache_) {
-    sim::native::install_native_cache(nullptr);
   }
 }
 
@@ -502,7 +488,7 @@ Response Service::execute_traced(const Request& request,
     obs::MetricsRegistry request_registry;
     obs::TraceSink private_sink;
     // The service event log rides along so engine-level warnings (e.g.
-    // the sim's native-to-VM fallback) surface in the service's
+    // the sim's unknown-IFSYN_SIM_ENGINE notice) surface in the service's
     // structured log, rate-limited at the log itself.
     obs::ObsContext obs{&request_registry, nullptr, &ctx,
                         options_.event_log};
@@ -799,17 +785,8 @@ std::string Service::stats_json() const {
       static_cast<int>(sim::bytecode::opt_level_from_env()));
   root["program_cache"] = Json(std::move(program_cache));
   // The engine new simulations select (IFSYN_SIM_ENGINE, read live, like
-  // opt_level above). "native" may still fall back to the VM per run —
-  // sim.native.fallbacks / the event log carry that story.
+  // opt_level above).
   root["sim_engine"] = std::string(sim::engine_name(sim::engine_from_env()));
-  JsonObject native_cache;
-  native_cache["size"] = static_cast<double>(native_cache_.size());
-  native_cache["capacity"] = static_cast<double>(native_cache_.capacity());
-  native_cache["hits"] = static_cast<double>(native_cache_.hits());
-  native_cache["misses"] = static_cast<double>(native_cache_.misses());
-  native_cache["evictions"] = static_cast<double>(native_cache_.evictions());
-  native_cache["compiles"] = static_cast<double>(native_cache_.compiles());
-  root["native_cache"] = Json(std::move(native_cache));
   JsonObject counters;
   counters["submitted"] = static_cast<double>(c_submitted_.value());
   counters["ok"] = static_cast<double>(c_ok_.value());

@@ -95,7 +95,6 @@
 #include "serve/request.hpp"
 #include "serve/spec_intern.hpp"
 #include "sim/bytecode/program_cache.hpp"
-#include "sim/native/artifact_cache.hpp"
 #include "util/status.hpp"
 
 namespace ifsyn::serve {
@@ -110,11 +109,6 @@ struct ServiceOptions {
   std::size_t spec_cache_capacity = 64;
   std::size_t estimation_cache_capacity = 4096;
   std::size_t program_cache_capacity = 128;
-  /// Native .so artifacts (memory-resident modules AND on-disk files) —
-  /// smaller than program_cache_capacity because each entry is a mapped
-  /// shared object, not a bytecode vector. Only consulted when requests
-  /// run with IFSYN_SIM_ENGINE=native.
-  std::size_t native_cache_capacity = 32;
   /// Default per-request deadline (ms); 0 = no deadline. A request's own
   /// deadline_ms overrides.
   std::uint64_t default_deadline_ms = 0;
@@ -220,7 +214,6 @@ class Service {
   SpecInterner interner_;
   explore::EstimationCache estimation_cache_;
   sim::bytecode::ProgramCache program_cache_;
-  sim::native::NativeArtifactCache native_cache_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -33,13 +33,8 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-struct BuiltinSpec {
-  spec::System (*make)();
-  SpecDefaults defaults;
-};
+}  // namespace
 
-/// The check subcommand's builtin table, shared with serve: same names,
-/// same calibration, same arbitration defaults.
 Result<BuiltinSpec> find_builtin(const std::string& name) {
   if (name == "flc") {
     return BuiltinSpec{
@@ -65,8 +60,6 @@ Result<BuiltinSpec> find_builtin(const std::string& name) {
   return invalid_argument("unknown builtin '" + name +
                           "' (flc, am, ethernet, fig3)");
 }
-
-}  // namespace
 
 std::string content_hash(std::string_view text) {
   return hex64(fnv1a(14695981039346656037ull, text)) +

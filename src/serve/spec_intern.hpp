@@ -41,13 +41,23 @@ namespace ifsyn::serve {
 std::string content_hash(std::string_view text);
 
 /// Per-spec synthesis defaults a builtin carries with it: the calibration
-/// and arbitration its case study is defined with (mirrors the check
-/// subcommand's load_check_target). Explicit request options override
-/// these.
+/// and arbitration its case study is defined with. Explicit request
+/// options override these.
 struct SpecDefaults {
   bool arbitrate = false;
   std::map<std::string, long long> compute_cycles_override;
 };
+
+/// A compiled-in case study and the defaults it is defined with.
+struct BuiltinSpec {
+  spec::System (*make)();
+  SpecDefaults defaults;
+};
+
+/// The one builtin table, shared by serve requests and the CLI's check
+/// and conform: `name` is "flc", "am", "ethernet" or "fig3" (a target's
+/// "builtin:" prefix already stripped).
+Result<BuiltinSpec> find_builtin(const std::string& name);
 
 struct InternedSpec {
   std::string hash;  ///< content hash; the request's spec_hash

@@ -6,7 +6,6 @@
 
 #include "obs/log.hpp"
 #include "sim/bytecode/vm.hpp"
-#include "sim/native/engine.hpp"
 #include "util/assert.hpp"
 
 namespace ifsyn::sim {
@@ -23,7 +22,6 @@ const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kVm: return "vm";
     case Engine::kAst: return "ast";
-    case Engine::kNative: return "native";
   }
   return "vm";
 }
@@ -35,7 +33,6 @@ Engine engine_from_env(std::string* bad_value) {
     return Engine::kVm;
   }
   if (std::strcmp(env, "ast") == 0) return Engine::kAst;
-  if (std::strcmp(env, "native") == 0) return Engine::kNative;
   // Unknown spelling: degrade to the portable default, but loudly —
   // setup() turns this into a structured warning naming both the bad
   // value and the engine actually chosen.
@@ -85,38 +82,9 @@ Status Interpreter::setup() {
     }
   }
 
-  if (engine_ == Engine::kNative) {
-    // The native engine is all-or-nothing: a failed setup leaves the
-    // kernel untouched, so falling through to the VM block below produces
-    // a run byte-identical to one that never asked for native.
-    auto native = std::make_unique<native::NativeEngine>(system_, kernel_);
-    std::string why;
-    if (native->setup(&why)) {
-      native_ = std::move(native);
-      if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-        metrics->gauge("sim.engine", obs::Determinism::kWallClock)
-            .set(static_cast<std::int64_t>(engine_));
-      }
-      return Status::ok();
-    }
-    if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-      metrics
-          ->counter("sim.native.fallbacks", obs::Determinism::kWallClock)
-          .add(1);
-    }
-    if (obs::EventLog* log = kernel_.obs().log) {
-      // Rate-limited by the log itself: a serve process hammered with
-      // requests on a toolchain-less box warns a few times, not per run.
-      log->log(obs::Severity::kWarn, "sim",
-               "native engine unavailable; falling back to the bytecode VM",
-               {{"reason", why}, {"engine", "vm"}});
-    }
-    engine_ = Engine::kVm;
-  }
-
   if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-    // The *effective* engine (post-fallback), where the opt level already
-    // appears; wall-clock-classed for the same reason sim.vm.opt.level is.
+    // The engine in effect, next to where the opt level already appears;
+    // wall-clock-classed for the same reason sim.vm.opt.level is.
     metrics->gauge("sim.engine", obs::Determinism::kWallClock)
         .set(static_cast<std::int64_t>(engine_));
   }
@@ -248,7 +216,6 @@ void Interpreter::intern_block(const spec::Block& block) {
 }
 
 const spec::Value& Interpreter::value_of(const std::string& variable) const {
-  if (native_) return native_->value_of(variable);
   if (vm_) return vm_->value_of(variable);
   auto it = globals_.find(variable);
   IFSYN_ASSERT_MSG(it != globals_.end(), "unknown variable " << variable);
@@ -256,10 +223,6 @@ const spec::Value& Interpreter::value_of(const std::string& variable) const {
 }
 
 void Interpreter::set_value(const std::string& variable, spec::Value value) {
-  if (native_) {
-    native_->set_value(variable, std::move(value));
-    return;
-  }
   if (vm_) {
     vm_->set_value(variable, std::move(value));
     return;

@@ -38,37 +38,28 @@ namespace ifsyn::sim {
 namespace bytecode {
 class Vm;
 }
-namespace native {
-class NativeEngine;
-}
 
 /// Which execution engine runs the spec's processes.
 ///
 /// kVm (default) compiles every process to register bytecode once at setup
 /// and runs a dispatch loop (sim/bytecode/); kAst walks the statement/
 /// expression trees directly — slower, but structurally close to the IR,
-/// so it serves as the reference the VM is differentially fuzzed against;
-/// kNative additionally lowers the bytecode to C++ compiled into a
-/// dlopen'd shared object (sim/native/), falling back to kVm — with
-/// identical observable output — whenever the toolchain, the emission
-/// gate, or the loader says no.
+/// so it serves as the reference the VM is differentially fuzzed against.
 enum class Engine {
   kVm,
   kAst,
-  kNative,
 };
 
-/// "vm" / "ast" / "native" — the spelling IFSYN_SIM_ENGINE uses, also
+/// "vm" / "ast" — the spelling IFSYN_SIM_ENGINE uses, also
 /// surfaced by serve /stats and the sim.engine gauge.
 const char* engine_name(Engine engine);
 
 /// Engine selected by the IFSYN_SIM_ENGINE environment variable: "ast"
-/// picks the AST reference engine, "native" the AOT native engine, "vm",
-/// empty or unset the bytecode VM. Any other value picks the VM and, when
-/// `bad_value` is non-null, reports the unrecognized string through it
-/// (empty = the value was recognized) so the caller can emit a structured
-/// warning — Interpreter::setup does. Read per call — tests toggle it
-/// with setenv.
+/// picks the AST reference engine; "vm", empty or unset the bytecode VM.
+/// Any other value picks the VM and, when `bad_value` is non-null,
+/// reports the unrecognized string through it (empty = the value was
+/// recognized) so the caller can emit a structured warning —
+/// Interpreter::setup does. Read per call — tests toggle it with setenv.
 Engine engine_from_env(std::string* bad_value = nullptr);
 
 class Interpreter {
@@ -97,13 +88,8 @@ class Interpreter {
 
   /// The bytecode engine behind this interpreter, for artifact
   /// introspection (e.g. tests asserting on the optimizer's rewrites).
-  /// Engaged after setup() when engine() == kVm — including after a
-  /// native-to-VM fallback; nullptr for kAst and a live native engine.
+  /// Engaged after setup() when engine() == kVm; nullptr for kAst.
   const bytecode::Vm* vm() const { return vm_.get(); }
-
-  /// The native engine, engaged after setup() when engine() == kNative
-  /// (i.e. the native path actually came up); nullptr otherwise.
-  const native::NativeEngine* native() const { return native_.get(); }
 
  private:
   struct Frame {
@@ -156,9 +142,6 @@ class Interpreter {
   /// Engaged iff engine_ == kVm after setup(); owns compiled programs and
   /// all VM-side storage (globals live in the Vm then, not in globals_).
   std::unique_ptr<bytecode::Vm> vm_;
-  /// Engaged iff engine_ == kNative after setup() (the native .so came
-  /// up); owns the module, the flat word storage and process registration.
-  std::unique_ptr<native::NativeEngine> native_;
   std::map<std::string, spec::Value> globals_;
   std::map<std::string, ProcState> proc_states_;
   PtrMap<SignalId> signal_refs_;

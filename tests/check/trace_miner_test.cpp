@@ -74,8 +74,7 @@ TEST(TraceMinerTest, Fig3IsCleanUnderEveryProtocol) {
 
 TEST(TraceMinerTest, Fig3IsCleanUnderEveryEngine) {
   System system = refined_fig3();
-  for (sim::Engine engine :
-       {sim::Engine::kVm, sim::Engine::kAst, sim::Engine::kNative}) {
+  for (sim::Engine engine : {sim::Engine::kVm, sim::Engine::kAst}) {
     const ConformanceReport report =
         simulate_and_mine(system, system, engine);
     EXPECT_TRUE(report.clean())

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/equivalence.hpp"
+#include "core/report.hpp"
 #include "partition/partitioner.hpp"
 #include "suite/fig3_example.hpp"
 #include "suite/flc.hpp"
@@ -82,6 +83,32 @@ TEST(SynthesizerTest, PinnedWidthIsRespected) {
   EXPECT_EQ(system.find_bus("B")->width, 8);
   // Pinned groups produce no generation entry (no search ran).
   EXPECT_TRUE(report->buses.empty());
+}
+
+TEST(SynthesizerTest, PinnedWidthStillCountsDataPins) {
+  // Fig. 3: four cross-module channels (P writes X, P reads X, P and Q
+  // write MEM) merged onto the designer's 8-bit bus. No generation ran,
+  // so the pin counts must come from the bus and its channels.
+  System system = suite::make_fig3_system();
+  SynthesisOptions options;
+  options.arbitrate = true;
+  InterfaceSynthesizer synth(options);
+  Result<SynthesisReport> report = synth.run(system);
+  ASSERT_TRUE(report.is_ok()) << report.status();
+  ASSERT_EQ(system.channels().size(), 4u);
+
+  EXPECT_EQ(report->merged_data_pins, 8);
+  EXPECT_EQ(report->dedicated_data_pins, 16 + 16 + 22 + 22);
+  EXPECT_NEAR(report->interconnect_reduction, 1.0 - 8.0 / 76.0, 1e-9);
+
+  ReportInputs inputs;
+  inputs.refined = &system;
+  inputs.synthesis = &report.value();
+  const std::string markdown = render_markdown_report(inputs);
+  EXPECT_NE(markdown.find("- data pins: 8 merged vs 76 dedicated "
+                          "(89.5 % reduction)"),
+            std::string::npos)
+      << markdown;
 }
 
 TEST(SynthesizerTest, FeasibleGroupDoesNotSplit) {

@@ -267,18 +267,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence,
                          ::testing::Range(0, fuzz_iterations()));
 
 // ---- engine differential testing ------------------------------------------
-// Every fuzzed system (original and its refined form) runs four ways —
+// Every fuzzed system (original and its refined form) runs three ways —
 // the optimized bytecode VM (IFSYN_SIM_OPT=1), the unoptimized VM
-// (IFSYN_SIM_OPT=0), the AST reference interpreter, and the AOT native
-// engine — with tracing on, and all four runs must agree byte-for-byte:
-// status, end time, every committed signal change, per-process
-// statistics, and the final value of every system variable. This is the
-// primary correctness harness for the VM's lowering pass, the
-// superinstruction optimizer, and the native C++ emitter. (Where the
-// toolchain is unavailable the native leg degrades to a VM run by
-// contract, which the oracle then verifies trivially — the dedicated
-// no-toolchain test in tests/sim/native_engine_test.cpp pins down that
-// degradation explicitly.)
+// (IFSYN_SIM_OPT=0), and the AST reference interpreter — with tracing
+// on, and all three runs must agree byte-for-byte: status, end time,
+// every committed signal change, per-process statistics, and the final
+// value of every system variable. This is the primary correctness
+// harness for the VM's lowering pass and the superinstruction optimizer.
 
 /// Forces IFSYN_SIM_OPT for one run; restores the previous value (CI runs
 /// whole suites under =0, which must survive this test).
@@ -366,15 +361,10 @@ void expect_runs_identical(const System& system, std::uint64_t seed,
     return run_engine(system, sim::Engine::kVm);
   }();
   const sim::SimulationRun ast = run_engine(system, sim::Engine::kAst);
-  sim::SimulationRun native = [&] {
-    ScopedSimOpt opt("1");
-    return run_engine(system, sim::Engine::kNative);
-  }();
   SCOPED_TRACE(::testing::Message()
                << "seed " << seed << " (" << label << ")");
   expect_two_runs_identical(system, vm_opt, "vm+opt", ast, "ast");
   expect_two_runs_identical(system, vm_opt, "vm+opt", vm_ref, "vm");
-  expect_two_runs_identical(system, vm_opt, "vm+opt", native, "native");
 
   // For refined systems, close the second loop: the trace each engine
   // committed must conform to the statically extracted protocol
@@ -385,10 +375,7 @@ void expect_runs_identical(const System& system, std::uint64_t seed,
   const struct {
     const sim::SimulationRun* run;
     const char* name;
-  } legs[] = {{&vm_opt, "vm+opt"},
-              {&vm_ref, "vm"},
-              {&ast, "ast"},
-              {&native, "native"}};
+  } legs[] = {{&vm_opt, "vm+opt"}, {&vm_ref, "vm"}, {&ast, "ast"}};
   for (const auto& leg : legs) {
     if (!leg.run->result.status.is_ok()) continue;
     const check::ConformanceReport mined =

@@ -444,9 +444,9 @@ TEST(ServiceTest, StatsOpAnswersOverTheWireFormat) {
 
 TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
   // The active engine rides alongside opt_level everywhere it already
-  // appears: /stats JSON (by name), the native artifact-cache block, and
-  // the prometheus text (serve.sim_engine gauge: 0=vm, 1=ast, 2=native).
-  for (const char* engine : {"vm", "native"}) {
+  // appears: /stats JSON (by name) and the prometheus text
+  // (serve.sim_engine gauge: 0=vm, 1=ast).
+  for (const char* engine : {"vm", "ast"}) {
     ::setenv("IFSYN_SIM_ENGINE", engine, 1);
     Service service;
     Request stats;
@@ -460,11 +460,10 @@ TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
     const JsonObject& root = parsed->as_object();
     ASSERT_TRUE(root.count("sim_engine"));
     EXPECT_EQ(root.at("sim_engine").as_string(), engine);
-    ASSERT_TRUE(root.count("native_cache"));
-    const JsonObject& nc = root.at("native_cache").as_object();
-    EXPECT_TRUE(nc.count("hits"));
-    EXPECT_TRUE(nc.count("misses"));
-    EXPECT_TRUE(nc.count("compiles"));
+    // No block for the retired AOT engine's artifact cache.
+    for (const auto& [key, value] : root) {
+      EXPECT_EQ(key.find("native"), std::string::npos) << key;
+    }
 
     Request metrics;
     metrics.id = "m";
@@ -475,7 +474,7 @@ TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
     ASSERT_TRUE(text.ok) << text.error.message;
     const std::string needle =
         std::string("serve_sim_engine ") +
-        (std::string(engine) == "native" ? "2" : "0");
+        (std::string(engine) == "ast" ? "1" : "0");
     EXPECT_NE(text.report.find(needle), std::string::npos)
         << engine << " gauge missing from:\n"
         << text.report;

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "sim/bytecode/compiler.hpp"
 #include "sim/interpreter.hpp"
 #include "spec/system.hpp"
+#include "suite/fig3_example.hpp"
 #include "util/assert.hpp"
 
 namespace ifsyn::sim {
@@ -48,6 +51,70 @@ TEST(EngineSelectionTest, InterpreterReportsItsEngine) {
   Kernel k1, k2;
   EXPECT_EQ(Interpreter(system, k1, Engine::kVm).engine(), Engine::kVm);
   EXPECT_EQ(Interpreter(system, k2, Engine::kAst).engine(), Engine::kAst);
+}
+
+/// Scoped setenv/unsetenv; restores the previous value on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_.c_str(), saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  bool had_ = false;
+  std::string saved_;
+};
+
+// "native" named an engine that no longer exists; a stale setting must
+// run the VM and say so, exactly like any other unknown spelling.
+TEST(EngineSelectionTest, UnknownEngineEnvWarnsAndRunsVm) {
+  for (const char* value : {"turbo", "native"}) {
+    SCOPED_TRACE(value);
+    ScopedEnv engine_env("IFSYN_SIM_ENGINE", value);
+
+    std::string bad;
+    EXPECT_EQ(engine_from_env(&bad), Engine::kVm);
+    EXPECT_EQ(bad, value);
+
+    const System sys = suite::make_fig3_system();
+    obs::MetricsRegistry metrics;
+    obs::EventLog log;
+    // Default engine argument — the path every production caller takes.
+    SimulationRun run = simulate(sys, 20'000'000, false,
+                                 obs::ObsContext{&metrics, nullptr, nullptr,
+                                                 &log});
+    ASSERT_TRUE(run.result.status.is_ok());
+    EXPECT_EQ(run.interpreter->engine(), Engine::kVm);
+    bool warned = false;
+    for (const auto& e : log.recent()) {
+      if (e.severity != obs::Severity::kWarn || e.component != "sim") continue;
+      for (const auto& [k, v] : e.fields) {
+        if (k == "value" && v == value) warned = true;
+      }
+    }
+    EXPECT_TRUE(warned) << log.to_jsonl();
+  }
+}
+
+TEST(EngineSelectionTest, RecognizedEngineValuesDoNotWarn) {
+  for (const char* value : {"vm", "ast", ""}) {
+    SCOPED_TRACE(value);
+    ScopedEnv engine_env("IFSYN_SIM_ENGINE", value);
+    std::string bad = "sentinel";
+    (void)engine_from_env(&bad);
+    EXPECT_EQ(bad, "");
+  }
 }
 
 // ---- compiler structure ----------------------------------------------------

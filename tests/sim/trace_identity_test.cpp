@@ -91,8 +91,7 @@ TEST(TraceIdentityTest, TraceAndVcdAreByteIdenticalAcrossEnginesAndOpt) {
   const Leg legs[] = {
       {"vm opt=0", sim::Engine::kVm, "0"},
       {"vm opt=1", sim::Engine::kVm, "1"},
-      {"native opt=0", sim::Engine::kNative, "0"},
-      {"native opt=1", sim::Engine::kNative, "1"},
+      {"ast", sim::Engine::kAst, "1"},
   };
 
   std::vector<sim::SimulationRun> runs;

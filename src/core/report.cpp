@@ -128,8 +128,11 @@ void render_metrics(std::ostringstream& os,
   os << table << "\n";
 }
 
-void render_traffic(std::ostringstream& os,
-                    const std::vector<protocol::BusTraffic>& traffic) {
+}  // namespace
+
+std::string render_traffic_markdown(
+    const std::vector<protocol::BusTraffic>& traffic) {
+  std::ostringstream os;
   os << "## Measured bus traffic\n\n";
   for (const protocol::BusTraffic& bus : traffic) {
     os << "### " << bus.bus << " — " << bus.total_words << " words, "
@@ -144,9 +147,8 @@ void render_traffic(std::ostringstream& os,
     }
     os << "\n";
   }
+  return os.str();
 }
-
-}  // namespace
 
 std::string render_markdown_report(const ReportInputs& inputs) {
   IFSYN_ASSERT_MSG(inputs.refined && inputs.synthesis,
@@ -178,7 +180,6 @@ std::string render_markdown_report(const ReportInputs& inputs) {
   render_channels(os, system);
   render_buses(os, system, *inputs.synthesis);
   if (inputs.equivalence) render_equivalence(os, *inputs.equivalence);
-  if (inputs.traffic) render_traffic(os, *inputs.traffic);
   if (inputs.metrics) render_metrics(os, *inputs.metrics);
   return os.str();
 }

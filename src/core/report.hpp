@@ -3,10 +3,10 @@
 // Human-readable synthesis report: one Markdown document collecting what
 // the flow decided and why -- the channel inventory, every bus group's
 // width exploration (Eq. 1 feasibility and cost per candidate), the
-// generated wire budget, the co-simulation verdict, and (when a traced
-// run is supplied) the measured per-channel traffic. This is the artifact
-// a designer would attach to a design review; the CLI writes it with
-// --report.
+// generated wire budget and the co-simulation verdict. This is the
+// artifact a designer would attach to a design review; serve's synth
+// requests answer with it, and the CLI's --report appends the measured
+// per-channel traffic of a traced run (render_traffic_markdown).
 #pragma once
 
 #include <optional>
@@ -27,8 +27,6 @@ struct ReportInputs {
   const SynthesisReport* synthesis = nullptr;
   /// Optional co-simulation outcome.
   const EquivalenceReport* equivalence = nullptr;
-  /// Optional measured traffic (protocol::analyze_trace output).
-  const std::vector<protocol::BusTraffic>* traffic = nullptr;
   /// Optional metrics snapshot; only its deterministic section is
   /// rendered, so the report stays reproducible run to run.
   const obs::MetricsSnapshot* metrics = nullptr;
@@ -37,5 +35,11 @@ struct ReportInputs {
 /// Render the report as Markdown. All inputs except `refined` and
 /// `synthesis` are optional; sections for absent inputs are omitted.
 std::string render_markdown_report(const ReportInputs& inputs);
+
+/// The "Measured bus traffic" section for protocol::analyze_trace output.
+/// Kept out of render_markdown_report: it needs an extra traced run that
+/// only the CLI's --report pays for.
+std::string render_traffic_markdown(
+    const std::vector<protocol::BusTraffic>& traffic);
 
 }  // namespace ifsyn::core

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,6 +50,10 @@ namespace ifsyn::serve {
 enum class RequestOp { kSynth, kExplore, kCheck, kMetrics, kStats };
 
 const char* request_op_name(RequestOp op);
+
+/// Simulation budget (cycles) of synth co-simulation and conform mining
+/// when a request sets no max_time.
+inline constexpr std::uint64_t kDefaultMaxTime = 10'000'000;
 
 /// Request-level option overrides. Optionals distinguish "absent" (use
 /// the spec's defaults) from an explicit value.
@@ -99,6 +104,8 @@ struct Request {
   std::string trace_id;
 };
 
+struct RequestArtifacts;  // serve/service.hpp
+
 struct ErrorInfo {
   std::string code;     ///< stable identifier, e.g. "deadline_exceeded"
   std::string message;  ///< human-readable detail
@@ -116,6 +123,9 @@ struct Response {
   std::uint64_t elapsed_us = 0;  ///< execution time
   std::uint64_t queue_us = 0;    ///< time spent queued before a worker
   std::string trace_id;          ///< service-assigned request trace ID
+  /// In-process only, never rendered: what the engine left behind for a
+  /// direct Service::execute caller (see RequestArtifacts).
+  std::shared_ptr<RequestArtifacts> artifacts;
 };
 
 /// Stable error code for a Status ("invalid_argument", "not_found", …).

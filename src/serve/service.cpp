@@ -314,6 +314,8 @@ void Service::worker_loop(std::size_t worker_index) {
                        &pending.ctx);
     }
     if (slow_capture) maybe_capture_slow(response, total_us, engine_trace_json);
+    // The artifacts are a hand-off to direct execute() callers only.
+    response.artifacts.reset();
     pending.promise.set_value(std::move(response));
   }
 }
@@ -485,12 +487,13 @@ Response Service::execute_traced(const Request& request,
     // precedence documented on Request::trace_file — per-request file
     // first, then the service-wide sink, then a private sink kept only
     // if the request turns out slow.
-    obs::MetricsRegistry request_registry;
+    auto artifacts = std::make_shared<RequestArtifacts>();
+    artifacts->spec = interned->system;
     obs::TraceSink private_sink;
     // The service event log rides along so engine-level warnings (e.g.
     // the sim's unknown-IFSYN_SIM_ENGINE notice) surface in the service's
     // structured log, rate-limited at the log itself.
-    obs::ObsContext obs{&request_registry, nullptr, &ctx,
+    obs::ObsContext obs{&artifacts->registry, nullptr, &ctx,
                         options_.event_log};
     std::optional<std::ofstream> trace_out;
     if (!request.trace_file.empty()) {
@@ -513,10 +516,10 @@ Response Service::execute_traced(const Request& request,
     Response response;
     switch (request.op) {
       case RequestOp::kSynth:
-        response = execute_synth(request, *interned, obs, request_registry);
+        response = execute_synth(request, *interned, obs, *artifacts);
         break;
       case RequestOp::kExplore:
-        response = execute_explore(request, *interned, obs);
+        response = execute_explore(request, *interned, obs, *artifacts);
         break;
       case RequestOp::kCheck:
         response = execute_check(request, *interned, obs);
@@ -526,6 +529,7 @@ Response Service::execute_traced(const Request& request,
         break;  // handled above
     }
     response.spec_hash = interned->hash;
+    response.artifacts = std::move(artifacts);
 
     if (obs.trace == &private_sink) {
       const std::string json = private_sink.to_json();
@@ -552,7 +556,7 @@ Response Service::execute_traced(const Request& request,
 Response Service::execute_synth(const Request& request,
                                 const InternedSpec& spec,
                                 const obs::ObsContext& obs,
-                                obs::MetricsRegistry& registry) {
+                                RequestArtifacts& artifacts) {
   const RequestOptions& ro = request.options;
   core::SynthesisOptions options;
   if (ro.protocol) options.protocol = *ro.protocol;
@@ -570,7 +574,7 @@ Response Service::execute_synth(const Request& request,
   std::optional<core::EquivalenceReport> equivalence;
   if (ro.cosim.value_or(true)) {
     Result<core::EquivalenceReport> eq = core::check_equivalence(
-        original, refined, ro.max_time.value_or(10'000'000), {}, obs);
+        original, refined, ro.max_time.value_or(kDefaultMaxTime), {}, obs);
     if (!eq.is_ok()) return status_response(request, eq.status());
     equivalence = std::move(eq).value();
   }
@@ -579,13 +583,14 @@ Response Service::execute_synth(const Request& request,
   inputs.refined = &refined;
   inputs.synthesis = &*report;
   inputs.equivalence = equivalence ? &*equivalence : nullptr;
-  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::MetricsSnapshot snapshot = artifacts.registry.snapshot();
   inputs.metrics = &snapshot;
 
   Response response;
   response.id = request.id;
   response.op = request_op_name(request.op);
   response.report = core::render_markdown_report(inputs);
+  artifacts.refined = std::move(refined);
   if (equivalence && !equivalence->equivalent) {
     response.ok = false;
     response.error = {"not_equivalent",
@@ -600,7 +605,8 @@ Response Service::execute_synth(const Request& request,
 
 Response Service::execute_explore(const Request& request,
                                   const InternedSpec& spec,
-                                  const obs::ObsContext& obs) {
+                                  const obs::ObsContext& obs,
+                                  RequestArtifacts& artifacts) {
   const RequestOptions& ro = request.options;
   explore::ExploreOptions options;
   options.threads = std::clamp(ro.threads.value_or(1), 1,
@@ -649,6 +655,9 @@ Response Service::execute_explore(const Request& request,
       break;
     }
   }
+  options.obs = {};  // its sinks do not outlive this request
+  artifacts.explore_options = std::move(options);
+  artifacts.exploration = std::move(result).value();
   return response;
 }
 
@@ -662,8 +671,8 @@ Response Service::execute_check(const Request& request,
   options.arbitrate = ro.arbitrate.value_or(spec.defaults.arbitrate);
   options.compute_cycles_override = spec.defaults.compute_cycles_override;
   options.obs = obs;
-  // As in the check subcommand: collect the full diagnostic list instead
-  // of failing synthesis on the first finding.
+  // Collect the full diagnostic list instead of failing synthesis on the
+  // first finding.
   options.run_checker = false;
 
   spec::System system = spec.system->clone(spec.system->name());
@@ -709,7 +718,7 @@ Response Service::execute_check(const Request& request,
   if (ro.conform.value_or(false)) {
     c_conform_requests_.add(1);
     sim::SimulationRun run = sim::simulate(
-        system, ro.max_time.value_or(10'000'000), /*trace=*/true, obs);
+        system, ro.max_time.value_or(kDefaultMaxTime), /*trace=*/true, obs);
     if (!run.result.status.is_ok()) {
       return status_response(request, run.result.status);
     }

@@ -82,6 +82,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -89,6 +90,7 @@
 #include <vector>
 
 #include "explore/estimation_cache.hpp"
+#include "explore/explorer.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
@@ -135,6 +137,25 @@ struct ServiceOptions {
   std::string slow_trace_dir;
 };
 
+/// What a request's engine run leaves behind for an in-process caller of
+/// Service::execute: the one-shot CLI writes --metrics, --emit-vhdl,
+/// --vcd, the traffic table and explore's --json from it. One allocation
+/// per request; the engine's outputs are moved in, never copied or
+/// re-run. Responses from submit() drop it, and render_response never
+/// emits it.
+struct RequestArtifacts {
+  /// The request's full metrics registry (both determinism classes).
+  obs::MetricsRegistry registry;
+  /// The interned spec the request ran on.
+  std::shared_ptr<const spec::System> spec;
+  /// synth: the refined system the report describes.
+  std::optional<spec::System> refined;
+  /// explore: the sweep and the options it ran with, so the caller can
+  /// render the format the request did not ask for.
+  std::optional<explore::ExploreOptions> explore_options;
+  std::optional<explore::ExplorationResult> exploration;
+};
+
 class Service {
  public:
   explicit Service(ServiceOptions options = {});
@@ -155,7 +176,9 @@ class Service {
   std::future<Response> submit(Request request);
 
   /// Execute synchronously on the caller's thread, bypassing the queue
-  /// (the workers' inner path; also the deterministic unit-test surface).
+  /// (the workers' inner path, the one-shot CLI's only path, and the
+  /// deterministic unit-test surface). Needs no start(). The response
+  /// carries its RequestArtifacts.
   Response execute(const Request& request);
 
   /// Service-level metrics (queue, latencies, shared-store counters).
@@ -200,9 +223,10 @@ class Service {
                           const std::string& engine_trace_json);
   Response execute_synth(const Request& request, const InternedSpec& spec,
                          const obs::ObsContext& obs,
-                         obs::MetricsRegistry& registry);
+                         RequestArtifacts& artifacts);
   Response execute_explore(const Request& request, const InternedSpec& spec,
-                           const obs::ObsContext& obs);
+                           const obs::ObsContext& obs,
+                           RequestArtifacts& artifacts);
   Response execute_check(const Request& request, const InternedSpec& spec,
                          const obs::ObsContext& obs);
 

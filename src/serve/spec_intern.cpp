@@ -33,8 +33,14 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-}  // namespace
+/// A compiled-in case study and the defaults it is defined with.
+struct BuiltinSpec {
+  spec::System (*make)();
+  SpecDefaults defaults;
+};
 
+/// The builtin table: `name` is "flc", "am", "ethernet" or "fig3" (a
+/// target's "builtin:" prefix already stripped).
 Result<BuiltinSpec> find_builtin(const std::string& name) {
   if (name == "flc") {
     return BuiltinSpec{
@@ -60,6 +66,8 @@ Result<BuiltinSpec> find_builtin(const std::string& name) {
   return invalid_argument("unknown builtin '" + name +
                           "' (flc, am, ethernet, fig3)");
 }
+
+}  // namespace
 
 std::string content_hash(std::string_view text) {
   return hex64(fnv1a(14695981039346656037ull, text)) +

@@ -48,17 +48,6 @@ struct SpecDefaults {
   std::map<std::string, long long> compute_cycles_override;
 };
 
-/// A compiled-in case study and the defaults it is defined with.
-struct BuiltinSpec {
-  spec::System (*make)();
-  SpecDefaults defaults;
-};
-
-/// The one builtin table, shared by serve requests and the CLI's check
-/// and conform: `name` is "flc", "am", "ethernet" or "fig3" (a target's
-/// "builtin:" prefix already stripped).
-Result<BuiltinSpec> find_builtin(const std::string& name);
-
 struct InternedSpec {
   std::string hash;  ///< content hash; the request's spec_hash
   std::shared_ptr<const spec::System> system;

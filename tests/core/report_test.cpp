@@ -49,7 +49,6 @@ TEST(ReportTest, FullReportHasAllSections) {
   inputs.refined = &f.refined;
   inputs.synthesis = &f.synthesis;
   inputs.equivalence = &f.equivalence;
-  inputs.traffic = &f.traffic;
 
   const std::string md = render_markdown_report(inputs);
   EXPECT_NE(md.find("# Interface synthesis report: flc_kernel"),
@@ -63,8 +62,11 @@ TEST(ReportTest, FullReportHasAllSections) {
   EXPECT_NE(md.find("**(selected)**"), std::string::npos);
   EXPECT_NE(md.find("## Co-simulation"), std::string::npos);
   EXPECT_NE(md.find("functional equivalence: **PASS**"), std::string::npos);
-  EXPECT_NE(md.find("## Measured bus traffic"), std::string::npos);
-  EXPECT_NE(md.find("| ch1 | 128 |"), std::string::npos);
+  // Measured traffic is a separate section the CLI appends.
+  EXPECT_EQ(md.find("## Measured bus traffic"), std::string::npos);
+  const std::string traffic = render_traffic_markdown(f.traffic);
+  EXPECT_EQ(traffic.rfind("## Measured bus traffic\n\n", 0), 0u) << traffic;
+  EXPECT_NE(traffic.find("| ch1 | 128 |"), std::string::npos) << traffic;
 }
 
 TEST(ReportTest, OptionalSectionsOmitted) {

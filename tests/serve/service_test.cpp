@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/report.hpp"
 #include "obs/log.hpp"
 #include "obs/trace_sink.hpp"
 #include "serve/json.hpp"
@@ -77,6 +78,42 @@ TEST(ServiceTest, ExecutesEveryOperation) {
   EXPECT_TRUE(snapshot.ok);
   EXPECT_NE(snapshot.report.find("ifsyn_serve_program_cache_hits_total"),
             std::string::npos);
+}
+
+TEST(ServiceTest, ExecuteHandsOffArtifactsAndSubmitDropsThem) {
+  Service service;
+  Request synth;
+  synth.id = "s";
+  synth.op = RequestOp::kSynth;
+  synth.target = "builtin:fig3";
+  const Response synthesized = service.execute(synth);
+  ASSERT_TRUE(synthesized.ok) << synthesized.error.message;
+  ASSERT_TRUE(synthesized.artifacts);
+  ASSERT_TRUE(synthesized.artifacts->refined);
+  EXPECT_EQ(synthesized.artifacts->refined->name(),
+            synthesized.artifacts->spec->name() + "_refined");
+  EXPECT_NE(synthesized.artifacts->registry.snapshot().find(
+                "protocol.procedures_generated"),
+            nullptr);
+  // In-process only: the wire form never mentions them.
+  EXPECT_EQ(render_response(synthesized, false).find("artifacts"),
+            std::string::npos);
+
+  const Response explored =
+      service.execute(explore_request("e", "builtin:fig3"));
+  ASSERT_TRUE(explored.ok) << explored.error.message;
+  ASSERT_TRUE(explored.artifacts && explored.artifacts->exploration &&
+              explored.artifacts->explore_options && explored.artifacts->spec);
+  EXPECT_EQ(explore::render_exploration_markdown(
+                *explored.artifacts->spec, *explored.artifacts->explore_options,
+                *explored.artifacts->exploration),
+            explored.report);
+
+  service.start();
+  const Response queued = service.submit(synth).get();
+  ASSERT_TRUE(queued.ok) << queued.error.message;
+  EXPECT_EQ(queued.report, synthesized.report);
+  EXPECT_FALSE(queued.artifacts);
 }
 
 TEST(ServiceTest, ConformFlagMinesTheTraceOnTheCheckPath) {

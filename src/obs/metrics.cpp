@@ -21,11 +21,13 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
 }
 
-void Histogram::observe(std::uint64_t value) {
+std::size_t Histogram::bucket_of(std::uint64_t value) const {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - bounds_.begin());  // == size() → overflow
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  return static_cast<std::size_t>(it - bounds_.begin());  // size() → overflow
+}
+
+void Histogram::observe(std::uint64_t value) {
+  buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
@@ -36,6 +38,28 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return counts;
+}
+
+// ---- HistogramBatch ------------------------------------------------------
+
+void HistogramBatch::reset(Histogram* target) {
+  target_ = target;
+  counts_.clear();
+  count_ = 0;
+  sum_ = 0;
+}
+
+void HistogramBatch::flush() {
+  if (target_ == nullptr || count_ == 0) return;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
+    target_->buckets_[i].fetch_add(counts_[i], std::memory_order_relaxed);
+    counts_[i] = 0;
+  }
+  target_->count_.fetch_add(count_, std::memory_order_relaxed);
+  target_->sum_.fetch_add(sum_, std::memory_order_relaxed);
+  count_ = 0;
+  sum_ = 0;
 }
 
 std::vector<std::uint64_t> exponential_bounds(std::uint64_t max) {

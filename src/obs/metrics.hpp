@@ -25,10 +25,10 @@
 // guarantee.
 //
 // Cost: counter/gauge updates are one relaxed atomic RMW; histogram
-// observation is a branchless-ish bucket search plus two RMWs. All are
-// cheap enough to leave enabled in the sim hot path; the kernel
-// additionally batches its per-event counts in plain integers and flushes
-// once per run (see sim/kernel.hpp).
+// observation is a branchless-ish bucket search plus three RMWs. The sim
+// hot path uses none of them: the kernel and the bytecode VM count in
+// plain per-run integers (and HistogramBatch) and flush once at the end of
+// each run (see sim/kernel.hpp).
 #pragma once
 
 #include <atomic>
@@ -96,10 +96,39 @@ class Histogram {
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
+  friend class HistogramBatch;
+  /// Index of the bucket `value` falls in (bounds_.size() = overflow).
+  std::size_t bucket_of(std::uint64_t value) const;
+
   std::vector<std::uint64_t> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
+};
+
+/// Plain-integer staging buffer for one Histogram: observe() touches no
+/// atomics, flush() adds the batch to the target in one pass and empties
+/// it. For hot paths that observe many values per run and publish once
+/// (the kernel's bus hold/wait histograms).
+class HistogramBatch {
+ public:
+  /// Stage observations for `target`; null stages nothing.
+  void reset(Histogram* target);
+  void observe(std::uint64_t value) {
+    if (target_ == nullptr) return;
+    // Sized on first use: most runs observe nothing.
+    if (counts_.empty()) counts_.resize(target_->bounds_.size() + 1);
+    ++counts_[target_->bucket_of(value)];
+    ++count_;
+    sum_ += value;
+  }
+  void flush();
+
+ private:
+  Histogram* target_ = nullptr;
+  std::vector<std::uint64_t> counts_;  ///< empty, or one per bucket
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
 };
 
 /// Exponential bucket bounds 1, 2, 4, ... up to `max` (inclusive) — the

@@ -8,6 +8,7 @@
 
 #include "sim/bytecode/compiler.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -479,8 +480,74 @@ class ProcessCompiler {
         static_cast<std::uint32_t>(prog_.cond_code.size()) - start;
     // ref_ops = count: the optimizer may shrink count but preserves
     // ref_ops, which is what eval_cond charges to sim.vm.executed_ops.
-    prog_.conds.push_back(CondProgram{start, count, 0, count});
+    CondProgram cp{.start = start, .count = count, .ref_ops = count};
+    cp.sensitized = sensitize(cp);
+    prog_.conds.push_back(cp);
     return static_cast<int>(prog_.conds.size()) - 1;
+  }
+
+  /// Append `cp`'s signal read set to cond_reads and point `cp` at it;
+  /// false (nothing appended) when the condition must stay on the
+  /// kernel's every-commit list (see CondProgram).
+  bool sensitize(CondProgram& cp) {
+    const auto reads_start =
+        static_cast<std::uint32_t>(prog_.cond_reads.size());
+    const auto unsensitized = [&] {
+      prog_.cond_reads.resize(reads_start);
+      return false;
+    };
+    for (std::uint32_t pc = cp.start; pc < cp.start + cp.count; ++pc) {
+      const Instr& in = prog_.cond_code[pc];
+      switch (in.op) {
+        case Op::kLoadSignal: {
+          const auto id = static_cast<SignalId>(in.a);
+          const auto first = prog_.cond_reads.begin() + reads_start;
+          if (std::find(first, prog_.cond_reads.end(), id) ==
+              prog_.cond_reads.end()) {
+            prog_.cond_reads.push_back(id);
+          }
+          break;
+        }
+        case Op::kLoadVar:
+          if (static_cast<Space>(in.aux) == Space::kGlobal) {
+            return unsensitized();
+          }
+          break;
+        case Op::kBinary: {
+          const auto op = static_cast<spec::BinaryOp>(in.aux);
+          if ((op == spec::BinaryOp::kDiv || op == spec::BinaryOp::kMod) &&
+              !nonzero_const_divisor(cp.start, pc)) {
+            return unsensitized();
+          }
+          break;
+        }
+        case Op::kTrap:
+        case Op::kLoadArray:
+        case Op::kCall:
+        case Op::kSlice:
+          return unsensitized();
+        default:
+          break;
+      }
+    }
+    cp.reads_start = reads_start;
+    cp.reads_count =
+        static_cast<std::uint32_t>(prog_.cond_reads.size()) - reads_start;
+    return true;
+  }
+
+  /// True when the divisor of the kDiv/kMod at cond_code[pc] is a folded
+  /// constant that is neither zero nor too wide for to_int: compile_expr
+  /// then loaded it with the kConst right before the kBinary.
+  bool nonzero_const_divisor(std::uint32_t start, std::uint32_t pc) const {
+    if (pc == start) return false;
+    const Instr& prev = prog_.cond_code[pc - 1];
+    if (prev.op != Op::kConst || prev.dst != prog_.cond_code[pc].b) {
+      return false;
+    }
+    const Scalar& divisor = prog_.consts[static_cast<std::size_t>(prev.a)];
+    const int width = divisor.bits.width();
+    return width > 0 && width <= 64 && divisor.to_int() != 0;
   }
 
   // Calls lower to: evaluate `in` actuals into consecutive registers (in

@@ -150,17 +150,31 @@ struct CallSite {
 };
 
 /// A `wait until` condition lowered into `cond_code`: the VM evaluates
-/// instructions [start, start+count) and reads the result register. The
-/// kernel re-runs this after every delta commit while the process is
-/// parked, exactly like the AST engine's condition lambda.
+/// instructions [start, start+count) and reads the result register.
+///
+/// A `sensitized` condition hands the kernel its signal read set,
+/// cond_reads[reads_start, reads_start+reads_count): the kLoadSignal ids
+/// of the unoptimized body, without repeats. The kernel then re-runs it
+/// only after a commit that changes one of them, which is exact because
+/// its other inputs (constants, process and frame slots) cannot change
+/// while the process is parked. The compiler leaves a condition
+/// unsensitized, re-run after every commit like the AST engine's
+/// condition lambda, when it reads a system variable (another process
+/// may write it) or contains an op whose error depends on computed
+/// values: a trap, an array load, a call, a slice, or a division or
+/// modulo whose divisor is not a nonzero constant. Those keep the
+/// every-commit error timing and order.
 struct CondProgram {
   std::uint32_t start = 0;
   std::uint32_t count = 0;
   std::uint16_t result_reg = 0;
+  bool sensitized = false;
   /// Pre-optimization instruction count. eval_cond charges this to
   /// sim.vm.executed_ops (not `count`) so the counter reads identically
   /// whether or not the optimizer shrank the condition body.
   std::uint32_t ref_ops = 0;
+  std::uint32_t reads_start = 0;
+  std::uint32_t reads_count = 0;
 };
 
 /// Descriptor for one kBulkSend/kBulkRecv: a whole P3 transfer-loop word
@@ -223,6 +237,7 @@ struct ProcProgram {
   std::vector<Instr> code;       ///< body + specialized procedures
   std::uint32_t entry = 0;       ///< pc of the process body
   std::vector<Instr> cond_code;  ///< wait-until condition programs
+  std::vector<SignalId> cond_reads;  ///< sensitized conditions' read sets
 
   std::vector<Scalar> consts;
   std::vector<std::vector<SignalId>> wait_sets;

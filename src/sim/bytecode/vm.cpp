@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -55,7 +56,10 @@ void Vm::setup() {
     metrics->counter("sim.vm.compiles").add(1);
     metrics->counter("sim.vm.compiled_instructions")
         .add(compiled_->total_instructions);
-    executed_ops_ = &metrics->counter("sim.vm.executed_ops");
+    // Run-local execution counters, published once when each kernel run
+    // ends (no atomic RMW per instruction burst or condition evaluation).
+    metrics->counter("sim.vm.executed_ops");
+    metrics->counter("sim.vm.condition_evals");
     // Optimizer introspection. All wall-clock-classed: they vary with
     // IFSYN_SIM_OPT, and the deterministic report tables must stay
     // byte-identical across levels (executed_ops does, via weights).
@@ -68,8 +72,18 @@ void Vm::setup() {
         ->counter("sim.vm.opt.instructions_eliminated",
                   obs::Determinism::kWallClock)
         .add(compiled_->opt.instructions_eliminated);
-    bulk_ops_ = &metrics->counter("sim.vm.opt.bulk_ops",
-                                  obs::Determinism::kWallClock);
+    metrics->counter("sim.vm.opt.bulk_ops", obs::Determinism::kWallClock);
+    // Capturing only `this` keeps the hook in std::function's inline
+    // buffer; the name lookups run once per kernel run.
+    kernel_.on_run_end([this] {
+      obs::MetricsRegistry& reg = *kernel_.obs().metrics;
+      reg.counter("sim.vm.executed_ops")
+          .add(std::exchange(run_.executed_ops, 0));
+      reg.counter("sim.vm.condition_evals")
+          .add(std::exchange(run_.condition_evals, 0));
+      reg.counter("sim.vm.opt.bulk_ops")
+          .add(std::exchange(run_.bulk_ops, 0));
+    });
   }
 
   globals_.clear();
@@ -581,13 +595,9 @@ bool Vm::eval_cond(ExecState& st, const CondProgram& cp) {
   // Charge the pre-optimization instruction count: executed_ops is a
   // deterministic report metric and must read identically whether or not
   // the optimizer shrank this condition body.
-  if (executed_ops_) executed_ops_->add(cp.ref_ops);
+  run_.executed_ops += cp.ref_ops;
+  ++run_.condition_evals;
   return st.regs[cp.result_reg].truthy();
-}
-
-void Vm::flush_ops(std::uint64_t& ops) {
-  if (executed_ops_ && ops != 0) executed_ops_->add(ops);
-  ops = 0;
 }
 
 Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
@@ -713,7 +723,7 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
         const BulkTransfer& bt = prog.bulks[static_cast<std::size_t>(in.a)];
         exec_bulk_send(st, bt);
         ops += bt.weight - 1;
-        if (bulk_ops_) bulk_ops_->add(1);
+        ++run_.bulk_ops;
         ++pc;
         break;
       }
@@ -721,7 +731,7 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
         const BulkTransfer& bt = prog.bulks[static_cast<std::size_t>(in.a)];
         exec_bulk_recv(st, bt);
         ops += bt.weight - 1;
-        if (bulk_ops_) bulk_ops_->add(1);
+        ++run_.bulk_ops;
         ++pc;
         break;
       }
@@ -739,13 +749,13 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
 // awaiter temporary); hoisting the operand into a local sidesteps the bug
 // — same convention as sim/interpreter.cpp.
 SimTask Vm::run_process(ExecState& st) {
-  // Executed-op count batches in a local and flushes into the registry at
-  // suspensions and at halt — no atomic RMW per instruction.
-  std::uint64_t ops = 0;
+  // The dispatch loop counts in a register-resident local, added to the
+  // run-local total at every suspension and at halt.
   for (;;) {
+    std::uint64_t ops = 0;
     std::uint64_t arg = 0;
     const SuspendKind kind = run_until_suspend(st, ops, arg);
-    flush_ops(ops);
+    run_.executed_ops += ops;
     switch (kind) {
       case SuspendKind::kHalt:
         co_return;
@@ -766,10 +776,17 @@ SimTask Vm::run_process(ExecState& st) {
       case SuspendKind::kWaitUntil: {
         const CondProgram& cp =
             st.prog->conds[static_cast<std::size_t>(arg)];
+        // The read set lives in the compiled program, which outlives every
+        // run, so the span stays valid across the suspension.
+        std::optional<std::span<const SignalId>> reads;
+        if (cp.sensitized) {
+          reads = std::span<const SignalId>(st.prog->cond_reads)
+                      .subspan(cp.reads_start, cp.reads_count);
+        }
         // Two-pointer capture: fits std::function's small-buffer storage,
         // so re-arming the condition never heap-allocates.
         auto awaiter = kernel_.wait_until(
-            [&st, &cp]() { return st.vm->eval_cond(st, cp); });
+            [&st, &cp]() { return st.vm->eval_cond(st, cp); }, reads);
         co_await awaiter;
         break;
       }

@@ -28,10 +28,6 @@
 #include "sim/kernel.hpp"
 #include "spec/system.hpp"
 
-namespace ifsyn::obs {
-class Counter;
-}
-
 namespace ifsyn::sim::bytecode {
 
 class Vm {
@@ -118,7 +114,6 @@ class Vm {
   bool eval_cond(ExecState& st, const CondProgram& cp);
   void do_call(ExecState& st, const CallSite& cs);
   void do_return(ExecState& st);
-  void flush_ops(std::uint64_t& ops);
 
   const spec::System& system_;
   Kernel& kernel_;
@@ -127,11 +122,16 @@ class Vm {
   std::shared_ptr<const CompiledSystem> compiled_;
   std::deque<ExecState> states_;
   std::vector<spec::Value> globals_;  ///< shared by all processes
-  obs::Counter* executed_ops_ = nullptr;
-  /// Wall-clock-classed: counts kBulkSend/kBulkRecv dispatches, which
-  /// depend on the optimization level and so must never feed a
-  /// deterministic report table.
-  obs::Counter* bulk_ops_ = nullptr;
+  /// Plain per-run counts, published to the registry by the kernel's
+  /// run-end hook (setup registers it when a registry is attached).
+  struct RunCounters {
+    std::uint64_t executed_ops = 0;     ///< sim.vm.executed_ops
+    std::uint64_t condition_evals = 0;  ///< sim.vm.condition_evals
+    /// sim.vm.opt.bulk_ops, wall-clock-classed: kBulkSend/kBulkRecv
+    /// dispatches depend on the optimization level, so they must never
+    /// feed a deterministic report table.
+    std::uint64_t bulk_ops = 0;
+  } run_;
 };
 
 }  // namespace ifsyn::sim::bytecode

@@ -1,5 +1,6 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/assert.hpp"
@@ -140,33 +141,42 @@ std::size_t Kernel::next_ready(std::size_t from) const {
 
 // ---- sensitivity index ----------------------------------------------------
 
-void Kernel::link_event_waiter(ProcessRuntime& proc,
-                               std::span<const SignalId> sensitivity) {
-  proc.wait = WaitKind::kEvent;
+Kernel::EventNode*& Kernel::waiter_head(SignalId sig, WaitKind kind) {
+  if (kind == WaitKind::kCondition) return fields_[sig].cond_waiters;
+  return (sig & kWildcardBit) != 0 ? wildcard_waiters_[sig & ~kWildcardBit]
+                                   : fields_[sig].waiters;
+}
+
+void Kernel::link_waiter(ProcessRuntime& proc, std::span<const SignalId> ids,
+                         WaitKind kind) {
+  proc.wait = kind;
   // Nodes must not move while linked: size the vector fully first, then
   // splice each node onto its signal's list head.
-  proc.event_nodes.assign(sensitivity.size(), EventNode{});
-  for (std::size_t i = 0; i < sensitivity.size(); ++i) {
-    EventNode& node = proc.event_nodes[i];
+  proc.event_nodes.assign(ids.size(), EventNode{});
+  std::size_t linked = 0;
+  for (auto it = ids.begin(); it != ids.end(); ++it) {
+    // A condition walk keeps the saved next node across a wake, so a
+    // process must appear at most once per condition list.
+    if (kind == WaitKind::kCondition && std::find(ids.begin(), it, *it) != it) {
+      continue;
+    }
+    EventNode& node = proc.event_nodes[linked++];
     node.proc = &proc;
-    node.sig = sensitivity[i];
-    EventNode*& head = (node.sig & kWildcardBit) != 0
-                           ? wildcard_waiters_[node.sig & ~kWildcardBit]
-                           : fields_[node.sig].waiters;
+    node.sig = *it;
+    EventNode*& head = waiter_head(node.sig, kind);
     node.next = head;
     if (head != nullptr) head->prev = &node;
     head = &node;
   }
+  proc.event_nodes.resize(linked);
 }
 
-void Kernel::unlink_event_waiter(ProcessRuntime& proc) {
+void Kernel::unlink_waiter(ProcessRuntime& proc) {
   for (EventNode& node : proc.event_nodes) {
     if (node.prev != nullptr) {
       node.prev->next = node.next;
-    } else if ((node.sig & kWildcardBit) != 0) {
-      wildcard_waiters_[node.sig & ~kWildcardBit] = node.next;
     } else {
-      fields_[node.sig].waiters = node.next;
+      waiter_head(node.sig, proc.wait) = node.next;
     }
     if (node.next != nullptr) node.next->prev = node.prev;
   }
@@ -179,6 +189,18 @@ void Kernel::remove_condition_waiter(ProcessRuntime& proc) {
   condition_waiters_[slot] = moved;
   moved->cond_slot = slot;
   condition_waiters_.pop_back();
+}
+
+bool Kernel::wake_if_true(ProcessRuntime& proc) {
+  if (!proc.condition()) return false;
+  if (proc.cond_sensitized) {
+    unlink_waiter(proc);
+  } else {
+    remove_condition_waiter(proc);
+  }
+  make_ready(proc);
+  ++stats_.wakeups_condition;
+  return true;
 }
 
 // ---- awaitables -----------------------------------------------------------
@@ -202,7 +224,7 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
       return;
     case WaitKind::kEvent: {
       if (!sensitivity_ids.empty() || sensitivity.empty()) {
-        kernel->link_event_waiter(*proc, sensitivity_ids);
+        kernel->link_waiter(*proc, sensitivity_ids, WaitKind::kEvent);
         return;
       }
       // Name-based path: `field==""` keys become whole-signal wildcard
@@ -221,7 +243,7 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
           if (it != kernel->index_.end()) resolved.push_back(it->second);
         }
       }
-      kernel->link_event_waiter(*proc, resolved);
+      kernel->link_waiter(*proc, resolved, WaitKind::kEvent);
       return;
     }
     case WaitKind::kCondition:
@@ -231,8 +253,13 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
         kernel->make_ready(*proc);
         return;
       }
-      proc->wait = WaitKind::kCondition;
       proc->condition = std::move(condition);
+      proc->cond_sensitized = cond_sensitized;
+      if (cond_sensitized) {
+        kernel->link_waiter(*proc, sensitivity_ids, WaitKind::kCondition);
+        return;
+      }
+      proc->wait = WaitKind::kCondition;
       proc->cond_slot = static_cast<std::uint32_t>(
           kernel->condition_waiters_.size());
       kernel->condition_waiters_.push_back(proc);
@@ -281,11 +308,17 @@ Kernel::Awaiter Kernel::wait_on(std::span<const SignalId> sensitivity) {
   return aw;
 }
 
-Kernel::Awaiter Kernel::wait_until(std::function<bool()> cond) {
+Kernel::Awaiter Kernel::wait_until(
+    std::function<bool()> cond,
+    std::optional<std::span<const SignalId>> reads) {
   Awaiter aw;
   aw.kernel = this;
   aw.kind = WaitKind::kCondition;
   aw.condition = std::move(cond);
+  if (reads) {
+    aw.cond_sensitized = true;
+    aw.sensitivity_ids = *reads;
+  }
   return aw;
 }
 
@@ -321,7 +354,7 @@ void Kernel::release_bus(BusId id) {
                    "bus " << lock.name << " released by non-holder");
   const std::uint64_t held = time_ - lock.hold_start;
   lock.stats.hold_cycles += held;
-  if (hold_hist_) hold_hist_->observe(held);
+  hold_hist_.observe(held);
   if (lock.waiters.empty()) {
     lock.holder = nullptr;
     return;
@@ -331,7 +364,7 @@ void Kernel::release_bus(BusId id) {
   const std::uint64_t waited = time_ - next->lock_wait_start;
   next->stats.bus_wait_cycles += waited;
   lock.stats.wait_cycles += waited;
-  if (wait_hist_) wait_hist_->observe(waited);
+  wait_hist_.observe(waited);
   grant_bus(lock, next, /*contended=*/true);
   make_ready(*next);
   ++stats_.wakeups_bus_grant;
@@ -438,30 +471,42 @@ bool Kernel::commit_deltas() {
     FieldState& state = fields_[id];
     while (EventNode* node = state.waiters) {
       ProcessRuntime* proc = node->proc;
-      unlink_event_waiter(*proc);
+      unlink_waiter(*proc);
       make_ready(*proc);
       ++stats_.wakeups_event;
     }
     while (EventNode* node = wildcard_waiters_[state.signal_ord]) {
       ProcessRuntime* proc = node->proc;
-      unlink_event_waiter(*proc);
+      unlink_waiter(*proc);
       make_ready(*proc);
       ++stats_.wakeups_event;
     }
   }
 
-  // Condition waiters: re-evaluate only processes actually parked on a
-  // `wait until`. Conditions read committed signal state, so evaluation
-  // order cannot change outcomes; swap-removal keeps each wake O(1).
+  // Condition waiters without a read set: re-evaluate every one. They
+  // come first, so a condition that raises does so before any read-set
+  // condition is looked at. Conditions read committed state, so the order
+  // cannot change outcomes; swap-removal keeps each wake O(1).
   std::size_t i = 0;
   while (i < condition_waiters_.size()) {
-    ProcessRuntime* proc = condition_waiters_[i];
-    if (proc->condition()) {
-      remove_condition_waiter(*proc);
-      make_ready(*proc);
-      ++stats_.wakeups_condition;
-    } else {
-      ++i;
+    if (!wake_if_true(*condition_waiters_[i])) ++i;
+  }
+
+  // Read-set condition waiters: only those linked to a changed field can
+  // have changed value, and each is evaluated at most once per commit
+  // (the epoch stamp) however many of its fields changed. A wake unlinks
+  // only the woken process's nodes, so the saved successor stays linked.
+  ++commit_epoch_;
+  for (const SignalId id : changed_) {
+    EventNode* node = fields_[id].cond_waiters;
+    while (node != nullptr) {
+      EventNode* next = node->next;
+      ProcessRuntime& proc = *node->proc;
+      if (proc.cond_epoch != commit_epoch_) {
+        proc.cond_epoch = commit_epoch_;
+        wake_if_true(proc);
+      }
+      node = next;
     }
   }
   return true;
@@ -505,18 +550,29 @@ SimResult Kernel::run(std::uint64_t max_time) {
     // Cycle-valued histograms over per-acquisition bus hold ("transaction
     // length") and per-grant wait ("arbitration latency") durations.
     const std::vector<std::uint64_t> bounds = obs::exponential_bounds(1 << 16);
-    hold_hist_ = &obs_.metrics->histogram("sim.bus_hold_cycles", bounds);
-    wait_hist_ = &obs_.metrics->histogram("sim.bus_wait_cycles", bounds);
+    hold_hist_.reset(&obs_.metrics->histogram("sim.bus_hold_cycles", bounds));
+    wait_hist_.reset(&obs_.metrics->histogram("sim.bus_wait_cycles", bounds));
   } else {
-    hold_hist_ = nullptr;
-    wait_hist_ = nullptr;
+    hold_hist_.reset(nullptr);
+    wait_hist_.reset(nullptr);
   }
+  // The engine publishes its run-local counters when the run ends, also
+  // when a condition throws out of the loop below.
+  struct RunEnd {
+    const std::function<void()>& flush;
+    ~RunEnd() {
+      if (flush) flush();
+    }
+  } run_end{run_end_};
 
   // Rebuild the indexed scheduler state from scratch: any waiter lists or
   // heap entries left by a previous (possibly aborted) run are stale.
   timed_ = {};
   condition_waiters_.clear();
-  for (FieldState& field : fields_) field.waiters = nullptr;
+  for (FieldState& field : fields_) {
+    field.waiters = nullptr;
+    field.cond_waiters = nullptr;
+  }
   for (EventNode*& head : wildcard_waiters_) head = nullptr;
   ready_bits_.assign((processes_.size() + 63) / 64, 0);
   ready_count_ = 0;
@@ -555,7 +611,9 @@ SimResult Kernel::run(std::uint64_t max_time) {
   return result;
 }
 
-void Kernel::flush_metrics(const SimResult& result) const {
+void Kernel::flush_metrics(const SimResult& result) {
+  hold_hist_.flush();
+  wait_hist_.flush();
   obs::MetricsRegistry& reg = *obs_.metrics;
   reg.counter("sim.runs").add(1);
   reg.counter("sim.simulated_cycles").add(result.end_time);

@@ -7,7 +7,10 @@
 //     process has suspended); a commit that changes the value is an event.
 //   - *Processes* are coroutines (see task.hpp). They suspend on
 //     `wait for` (simulated clock cycles), `wait on` (signal events), and
-//     `wait until` (a condition over signals).
+//     `wait until` (a condition over signals). As in VHDL, a parked
+//     `wait until` is sensitive to the signals its condition reads: given
+//     the read set, the kernel re-evaluates it only after a commit that
+//     changes one of them; without one, after every commit.
 //   - Time advances only when no process is runnable and no signal update
 //     is pending, jumping to the earliest timed waiter.
 //
@@ -23,10 +26,15 @@
 // vector, so the hot paths never touch string keys. The scheduler is
 // indexed rather than scan-based: an index-ordered ready bitmap replaces
 // the all-process sweep, a min-heap of timed waiters replaces the
-// next-instant scan, and a per-signal intrusive waiter list (plus a
-// dedicated condition-waiter list) replaces the O(waiters x sensitivity x
-// changed) wakeup matching. The FieldKey name layer remains the public
+// next-instant scan, and per-field intrusive waiter lists (one for `wait
+// on`, one for read-set `wait until` conditions, plus an every-commit list
+// for conditions without a read set) replace the O(waiters x sensitivity
+// x changed) wakeup matching. The FieldKey name layer remains the public
 // declaration/inspection API; names resolve to SignalIds once.
+//
+// Counters are run-local: the kernel and the engines layered on it count
+// in plain integers during a run and publish to the attached metrics
+// registry once, when run() returns (no atomics in the hot path).
 //
 // The kernel also implements the bus-arbitration extension (paper Sec. 6
 // future work): named FIFO locks with per-process wait-time accounting.
@@ -187,13 +195,23 @@ class Kernel {
   /// atomics in the hot path) and flushes them into the registry once at
   /// the end of run() under the "sim." prefix; bus hold/wait durations
   /// additionally feed the sim.bus_hold_cycles / sim.bus_wait_cycles
-  /// histograms. All flushed values are Determinism::kDeterministic.
+  /// histograms, staged per run the same way. All flushed values are
+  /// Determinism::kDeterministic.
   void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   /// The attached observability hooks (default-empty when none were set).
   /// Execution engines layered on the kernel register their own metrics
   /// (e.g. the bytecode VM's sim.vm.* counters) through the same context.
   const obs::ObsContext& obs() const { return obs_; }
+
+  /// Set `flush` to run once when every run() ends, also when a
+  /// condition throws out of it, replacing any earlier one. The engine
+  /// layered on the kernel publishes its run-local counters here; what
+  /// `flush` refers to must outlive the kernel's last run (the bytecode
+  /// VM passes itself, as it does to its process factories).
+  void on_run_end(std::function<void()> flush) {
+    run_end_ = std::move(flush);
+  }
 
   // ---- name resolution (cold path; resolve once, keep the id) -----------
 
@@ -250,9 +268,24 @@ class Kernel {
   /// Interned sensitivity: ids must outlive the co_await (callers keep
   /// them in elaboration-time caches).
   Awaiter wait_on(std::span<const SignalId> sensitivity);
-  /// `cond` is re-evaluated after every delta commit; it must read only
-  /// signals (not time), which is all the IR's wait-until allows.
-  Awaiter wait_until(std::function<bool()> cond);
+  /// Park until `cond` holds (checked at once; see the level-sensitive
+  /// deviation above). `cond` must be a pure read of signals and of state
+  /// only its own process writes, never time; that is all the IR's
+  /// wait-until allows.
+  ///
+  /// `reads` is the condition's signal read set. With it, the parked
+  /// condition links onto those fields' condition-waiter lists and is
+  /// re-evaluated at most once per delta commit, only when one of them
+  /// changed: anything else it reads is frozen while its process is
+  /// parked, so other commits cannot change its value. Ids must outlive
+  /// the co_await (the VM keeps them in the compiled program); repeats
+  /// are ignored. Without `reads` (nullopt), `cond` is re-evaluated after
+  /// every delta commit that changes any field: the AST engine's path,
+  /// and the VM's for conditions that read system variables or can
+  /// raise.
+  Awaiter wait_until(
+      std::function<bool()> cond,
+      std::optional<std::span<const SignalId>> reads = std::nullopt);
   Awaiter acquire_bus(const std::string& bus);
   Awaiter acquire_bus(BusId bus);
   void release_bus(const std::string& bus);
@@ -274,11 +307,13 @@ class Kernel {
 
   struct ProcessRuntime;
 
-  /// One registration of a process on one sensitivity waiter list. Nodes
-  /// are owned by the process (`event_nodes`) and linked intrusively into
-  /// a per-field doubly-linked list — or, when `sig` carries kWildcardBit,
-  /// into the whole-signal wildcard list — so both wake-by-signal (walk
-  /// the list) and unsubscribe-on-wake (unlink every node) are O(degree).
+  /// One registration of a process on one waiter list. Nodes are owned by
+  /// the process (`event_nodes`) and linked intrusively into a per-field
+  /// doubly-linked list — the field's event list for `wait on` (or, when
+  /// `sig` carries kWildcardBit, the whole-signal wildcard list), its
+  /// condition list for a read-set `wait until` — so both wake-by-signal
+  /// (walk the list) and unsubscribe-on-wake (unlink every node) are
+  /// O(degree).
   struct EventNode {
     ProcessRuntime* proc = nullptr;
     EventNode* prev = nullptr;
@@ -296,9 +331,12 @@ class Kernel {
 
     WaitKind wait = WaitKind::kReady;
     std::uint64_t wake_time = 0;
-    std::vector<EventNode> event_nodes;  ///< linked while wait == kEvent
+    /// Linked while wait == kEvent, or kCondition with a read set.
+    std::vector<EventNode> event_nodes;
     std::function<bool()> condition;
+    bool cond_sensitized = false;  ///< parked via a read set, not the list
     std::uint32_t cond_slot = 0;  ///< position in condition_waiters_
+    std::uint64_t cond_epoch = 0;  ///< last commit that evaluated it
     std::uint64_t lock_wait_start = 0;
 
     ProcessStats stats;
@@ -309,6 +347,7 @@ class Kernel {
     BitVector initial;
     std::optional<BitVector> pending;
     EventNode* waiters = nullptr;   ///< head of this field's waiter list
+    EventNode* cond_waiters = nullptr;  ///< read-set conditions on it
     std::uint32_t signal_ord = 0;   ///< owning signal, for wildcard wakes
   };
 
@@ -342,10 +381,14 @@ class Kernel {
   std::size_t next_ready(std::size_t from) const;  ///< npos when none
 
   // ---- sensitivity index -------------------------------------------------
-  void link_event_waiter(ProcessRuntime& proc,
-                         std::span<const SignalId> sensitivity);
-  void unlink_event_waiter(ProcessRuntime& proc);
+  /// Park `proc` as `kind` (kEvent or kCondition) on the lists of `ids`.
+  void link_waiter(ProcessRuntime& proc, std::span<const SignalId> ids,
+                   WaitKind kind);
+  void unlink_waiter(ProcessRuntime& proc);
+  EventNode*& waiter_head(SignalId sig, WaitKind kind);
   void remove_condition_waiter(ProcessRuntime& proc);
+  /// Evaluate a parked condition; when it holds, unpark and ready `proc`.
+  bool wake_if_true(ProcessRuntime& proc);
 
   /// Resume every kReady process until all are suspended or done.
   void run_ready();
@@ -359,7 +402,7 @@ class Kernel {
   /// Grant the lock to `next` at the current time, with accounting.
   void grant_bus(BusLockState& lock, ProcessRuntime* next, bool contended);
   /// Push KernelStats and bus histograms into the attached registry.
-  void flush_metrics(const SimResult& result) const;
+  void flush_metrics(const SimResult& result);
 
   std::uint64_t time_ = 0;
   std::uint64_t delta_ = 0;  // delta count within the current instant
@@ -385,7 +428,8 @@ class Kernel {
   std::priority_queue<TimedEntry, std::vector<TimedEntry>,
                       std::greater<TimedEntry>>
       timed_;
-  std::vector<ProcessRuntime*> condition_waiters_;
+  std::vector<ProcessRuntime*> condition_waiters_;  // every-commit list
+  std::uint64_t commit_epoch_ = 0;  // serial of the last changing commit
 
   bool trace_enabled_ = false;
   std::vector<TraceEntry> trace_;
@@ -393,10 +437,11 @@ class Kernel {
   Status run_status_;
   KernelStats stats_;
   obs::ObsContext obs_;
-  // Histogram handles resolved once per run (name lookup off the hot path);
-  // null when no registry is attached.
-  obs::Histogram* hold_hist_ = nullptr;
-  obs::Histogram* wait_hist_ = nullptr;
+  // Run-local bus hold/wait observations, flushed with the other metrics;
+  // they stage nothing when no registry is attached.
+  obs::HistogramBatch hold_hist_;
+  obs::HistogramBatch wait_hist_;
+  std::function<void()> run_end_;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr std::uint64_t kMaxDeltasPerInstant = 100'000;
@@ -411,8 +456,10 @@ struct Kernel::Awaiter {
   WaitKind kind = WaitKind::kReady;
   std::uint64_t cycles = 0;
   std::vector<FieldKey> sensitivity;           ///< name-based wait_on
-  std::span<const SignalId> sensitivity_ids;   ///< interned wait_on
+  /// Interned wait_on set, or a sensitized wait_until's read set.
+  std::span<const SignalId> sensitivity_ids;
   std::function<bool()> condition;
+  bool cond_sensitized = false;  ///< wait_until was given a read set
   std::string bus;
   BusId bus_id = kInvalidBusId;
 

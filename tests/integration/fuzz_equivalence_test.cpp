@@ -316,6 +316,21 @@ void expect_two_runs_identical(const System& system,
   if (!lhs.result.status.is_ok()) return;  // both failed the same way
   EXPECT_EQ(lhs.result.end_time, rhs.result.end_time);
 
+  // Scheduler counts. The VM parks read-set conditions on per-field lists
+  // while the AST engine re-evaluates every condition after every commit,
+  // so a lost or extra condition wake that leaves the waveform unchanged
+  // still fails here.
+  const sim::KernelStats& kl = lhs.result.kernel;
+  const sim::KernelStats& kr = rhs.result.kernel;
+  EXPECT_EQ(kl.instants, kr.instants);
+  EXPECT_EQ(kl.delta_cycles, kr.delta_cycles);
+  EXPECT_EQ(kl.max_deltas_in_instant, kr.max_deltas_in_instant);
+  EXPECT_EQ(kl.signal_commits, kr.signal_commits);
+  EXPECT_EQ(kl.wakeups_time, kr.wakeups_time);
+  EXPECT_EQ(kl.wakeups_event, kr.wakeups_event);
+  EXPECT_EQ(kl.wakeups_condition, kr.wakeups_condition);
+  EXPECT_EQ(kl.wakeups_bus_grant, kr.wakeups_bus_grant);
+
   // Process results.
   ASSERT_EQ(lhs.result.processes.size(), rhs.result.processes.size());
   for (std::size_t i = 0; i < lhs.result.processes.size(); ++i) {

@@ -1,0 +1,90 @@
+// Deterministic work gate for the simulation data plane. It pins the exact
+// sim.vm.condition_evals, sim.vm.executed_ops and sim.wakeups.condition of
+// one fixed refined system: the first point the FLC design-space sweep
+// validates (half handshake, per-accessor grouping, 1-bit buses). These
+// counters are pure functions of the system, so a change in how often the
+// kernel evaluates parked `wait until` conditions moves them exactly, with
+// no timing noise. Evaluating every parked condition after every commit,
+// the kernel's behavior before read-set sensitivity, gives 803,736
+// condition evaluations and 6,371,023 executed ops on this point.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "explore/explorer.hpp"
+#include "obs/metrics.hpp"
+#include "spec/system.hpp"
+#include "suite/flc.hpp"
+
+namespace ifsyn {
+namespace {
+
+/// Pins IFSYN_SIM_ENGINE to the bytecode VM for one scope: the
+/// sim.vm.* counters exist only there.
+class ScopedVmEngine {
+ public:
+  ScopedVmEngine() {
+    if (const char* old = std::getenv("IFSYN_SIM_ENGINE")) saved_ = old;
+    setenv("IFSYN_SIM_ENGINE", "vm", 1);
+  }
+  ~ScopedVmEngine() {
+    if (saved_) {
+      setenv("IFSYN_SIM_ENGINE", saved_->c_str(), 1);
+    } else {
+      unsetenv("IFSYN_SIM_ENGINE");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+std::uint64_t counter(const obs::MetricsSnapshot& snap,
+                      const std::string& name) {
+  const obs::MetricsSnapshot::Entry* entry = snap.find(name);
+  EXPECT_NE(entry, nullptr) << name;
+  return entry != nullptr ? entry->counter : 0;
+}
+
+TEST(SimWorkGate, FlcFirstValidatedPointCounts) {
+  const ScopedVmEngine engine;
+  const spec::System system = suite::make_flc_full();
+
+  // The FLC sweep's options, validating only its first point.
+  explore::ExploreOptions options;
+  options.space.protocols = {spec::ProtocolKind::kFullHandshake,
+                             spec::ProtocolKind::kHalfHandshake,
+                             spec::ProtocolKind::kFixedDelay};
+  options.space.alternative_groupings = true;
+  options.top_k = 1;
+  options.threads = 1;
+  options.compute_cycles_override = {
+      {"EVAL_R3", suite::FlcCalibration::kEvalR3ComputeCycles},
+      {"CONV_R2", suite::FlcCalibration::kConvR2ComputeCycles},
+  };
+  obs::MetricsRegistry registry;
+  options.obs.metrics = &registry;
+
+  const explore::Explorer explorer(system, options);
+  const Result<explore::ExplorationResult> result = explorer.run();
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  ASSERT_EQ(result->validated.size(), 1u);
+  const explore::PointResult& point = result->points[result->validated[0]];
+  EXPECT_EQ(point.point.protocol, spec::ProtocolKind::kHalfHandshake);
+  EXPECT_EQ(point.grouping_name, "per-accessor");
+  EXPECT_EQ(point.point.width, 1);
+  EXPECT_TRUE(point.sim_ok);
+
+  // Only the refined run feeds the "sim." metrics (the shared original
+  // run is uninstrumented), so these are that one simulation's counts.
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter(snap, "sim.runs"), 1u);
+  EXPECT_EQ(counter(snap, "sim.vm.condition_evals"), 125'667u);
+  EXPECT_EQ(counter(snap, "sim.vm.executed_ops"), 3'397'312u);
+  EXPECT_EQ(counter(snap, "sim.wakeups.condition"), 61'406u);
+}
+
+}  // namespace
+}  // namespace ifsyn

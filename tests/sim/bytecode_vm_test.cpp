@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -239,6 +240,173 @@ TEST(BytecodeCompilerTest, SpecializesProceduresPerProcess) {
   EXPECT_EQ(interp.value_of("R1").get().to_int(), 21);
 }
 
+// ---- wait-until read sets --------------------------------------------------
+
+/// A system with bus B {START: 1, ID: 2, DATA: 8}, global X, and one
+/// process (locals J, ARR) whose body is one `wait until` per condition.
+System condition_system(std::vector<ExprPtr> conds) {
+  System system("t");
+  Signal bus;
+  bus.name = "B";
+  bus.fields = {{"START", 1}, {"ID", 2}, {"DATA", 8}};
+  system.add_signal(std::move(bus));
+  system.add_variable(Variable("X", Type::integer(32)));
+  Process p;
+  p.name = "main";
+  p.locals.emplace_back("J", Type::integer(32), Value::integer(1));
+  p.locals.emplace_back("ARR", Type::array(Type::bits(8), 4));
+  for (auto& c : conds) p.body.push_back(wait_until(std::move(c)));
+  system.add_process(std::move(p));
+  return system;
+}
+
+void declare_signals(const System& system, Kernel& kernel) {
+  for (const auto& s : system.signals()) {
+    for (const auto& f : s->fields) {
+      kernel.add_signal_field(FieldKey{s->name, f.name}, BitVector(f.width));
+    }
+  }
+}
+
+/// The kLoadSignal ids of condition `cp`'s (unoptimized) body, in order.
+std::vector<SignalId> signal_loads(const bytecode::ProcProgram& prog,
+                                   const bytecode::CondProgram& cp) {
+  std::vector<SignalId> ids;
+  for (std::uint32_t pc = cp.start; pc < cp.start + cp.count; ++pc) {
+    const bytecode::Instr& in = prog.cond_code[pc];
+    if (in.op == bytecode::Op::kLoadSignal) {
+      ids.push_back(static_cast<SignalId>(in.a));
+    }
+  }
+  return ids;
+}
+
+std::vector<SignalId> read_set(const bytecode::ProcProgram& prog,
+                               const bytecode::CondProgram& cp) {
+  return {prog.cond_reads.begin() + cp.reads_start,
+          prog.cond_reads.begin() + cp.reads_start + cp.reads_count};
+}
+
+TEST(BytecodeCompilerTest, ConditionReadSetIsItsSignalLoads) {
+  std::vector<ExprPtr> conds;
+  // The generated full-handshake receiver guard.
+  conds.push_back(land(eq(sig("B", "START"), lit(1)), eq(sig("B", "ID"), lit(2))));
+  // A field read twice is listed once; process locals do not count.
+  conds.push_back(lor(eq(sig("B", "DATA"), var("J")),
+                      eq(sig("B", "DATA"), lit(0))));
+  // The strobe receiver's parity guard: modulo by a nonzero constant
+  // cannot raise, so it stays sensitized.
+  conds.push_back(eq(sig("B", "START"), mod(var("J"), lit(2))));
+  // No signal at all: sensitized to nothing (its locals are frozen).
+  conds.push_back(eq(var("J"), lit(5)));
+  const System system = condition_system(std::move(conds));
+  Kernel kernel;
+  declare_signals(system, kernel);
+  const SignalId start = kernel.signal_id(FieldKey{"B", "START"});
+  const SignalId id = kernel.signal_id(FieldKey{"B", "ID"});
+  const SignalId data = kernel.signal_id(FieldKey{"B", "DATA"});
+
+  const bytecode::CompiledSystem cs = bytecode::compile(system, kernel);
+  const bytecode::ProcProgram& prog = cs.processes[0];
+  ASSERT_EQ(prog.conds.size(), 4u);
+  for (const auto& cp : prog.conds) EXPECT_TRUE(cp.sensitized);
+  EXPECT_EQ(read_set(prog, prog.conds[0]), (std::vector<SignalId>{start, id}));
+  EXPECT_EQ(read_set(prog, prog.conds[1]), (std::vector<SignalId>{data}));
+  EXPECT_EQ(read_set(prog, prog.conds[2]), (std::vector<SignalId>{start}));
+  EXPECT_TRUE(read_set(prog, prog.conds[3]).empty());
+  for (const auto& cp : prog.conds) {
+    std::vector<SignalId> loads = signal_loads(prog, cp);
+    std::sort(loads.begin(), loads.end());
+    loads.erase(std::unique(loads.begin(), loads.end()), loads.end());
+    std::vector<SignalId> reads = read_set(prog, cp);
+    std::sort(reads.begin(), reads.end());
+    EXPECT_EQ(reads, loads);
+  }
+
+  // The optimizer rewrites condition bodies but keeps the read sets.
+  const bytecode::CompiledSystem opt =
+      bytecode::compile(system, kernel, bytecode::OptLevel::kFull);
+  EXPECT_EQ(opt.processes[0].cond_reads, prog.cond_reads);
+  for (std::size_t i = 0; i < prog.conds.size(); ++i) {
+    EXPECT_EQ(opt.processes[0].conds[i].sensitized, prog.conds[i].sensitized);
+    EXPECT_EQ(opt.processes[0].conds[i].reads_start, prog.conds[i].reads_start);
+    EXPECT_EQ(opt.processes[0].conds[i].reads_count, prog.conds[i].reads_count);
+  }
+}
+
+TEST(BytecodeCompilerTest, GlobalReadingOrRaisingConditionsStayOnEveryCommit) {
+  std::vector<ExprPtr> conds;
+  conds.push_back(land(eq(sig("B", "START"), lit(1)), eq(var("X"), lit(0))));
+  conds.push_back(eq(var("NOPE"), lit(1)));                          // kTrap
+  conds.push_back(eq(aref("ARR", var("J")), sig("B", "DATA")));      // array
+  conds.push_back(eq(spec::div(lit(8), sig("B", "DATA")), lit(1)));  // div
+  conds.push_back(eq(mod(sig("B", "DATA"), var("J")), lit(0)));      // mod
+  conds.push_back(eq(mod(sig("B", "DATA"), lit(0)), lit(0)));   // mod by 0
+  conds.push_back(eq(slice(sig("B", "DATA"), 3, 0), lit(1)));   // slice
+  const System system = condition_system(std::move(conds));
+  Kernel kernel;
+  declare_signals(system, kernel);
+  const bytecode::CompiledSystem cs = bytecode::compile(system, kernel);
+  const bytecode::ProcProgram& prog = cs.processes[0];
+  ASSERT_EQ(prog.conds.size(), 7u);
+  for (std::size_t i = 0; i < prog.conds.size(); ++i) {
+    EXPECT_FALSE(prog.conds[i].sensitized) << "condition " << i;
+    EXPECT_EQ(prog.conds[i].reads_count, 0u) << "condition " << i;
+  }
+  EXPECT_TRUE(prog.cond_reads.empty());
+}
+
+TEST(BytecodeVmTest, ParkedConditionRunsOnlyWhenAFieldItReadsChanges) {
+  // `main` parks on a condition over B.START (plus, per case, a global,
+  // an array element or a signal divisor); `stimulus` commits B.DATA twice,
+  // then B.START. A sensitized condition is evaluated at park time and
+  // at the B.START commit; an every-commit one after each B.DATA commit
+  // too. Either way the run matches the AST engine's.
+  struct Case {
+    const char* name;
+    ExprPtr extra;
+    std::uint64_t evals;
+  };
+  Case cases[] = {
+      {"signals only", lit(1), 2},
+      {"global", eq(var("X"), lit(0)), 4},
+      {"array load", eq(aref("ARR", lit(0)), lit(0)), 4},
+      {"signal divisor",
+       eq(spec::div(lit(8), add(sig("B", "DATA"), lit(1))), lit(2)), 4},
+  };
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    System system = condition_system(
+        {land(eq(sig("B", "START"), lit(1)), std::move(c.extra))});
+    Process stimulus;
+    stimulus.name = "stimulus";
+    stimulus.body = {sig_assign("B", "DATA", lit(1)), wait_for(lit(1)),
+                   sig_assign("B", "DATA", lit(2)), wait_for(lit(1)),
+                   sig_assign("B", "START", lit(1))};
+    system.add_process(std::move(stimulus));
+    system.find_process("main")->body.push_back(assign("X", lit(7)));
+
+    obs::MetricsRegistry metrics;
+    const SimulationRun vm = simulate(system, 1'000'000, true,
+                                      obs::ObsContext{&metrics, nullptr},
+                                      Engine::kVm);
+    const SimulationRun ast =
+        simulate(system, 1'000'000, true, {}, Engine::kAst);
+    ASSERT_TRUE(vm.result.status.is_ok()) << vm.result.status;
+    ASSERT_TRUE(ast.result.status.is_ok()) << ast.result.status;
+    const auto snap = metrics.snapshot();
+    ASSERT_NE(snap.find("sim.vm.condition_evals"), nullptr);
+    EXPECT_EQ(snap.find("sim.vm.condition_evals")->counter, c.evals);
+    EXPECT_EQ(vm.interpreter->value_of("X").get().to_int(), 7);
+    EXPECT_EQ(vm.result.end_time, ast.result.end_time);
+    EXPECT_EQ(vm.result.kernel.delta_cycles, ast.result.kernel.delta_cycles);
+    EXPECT_EQ(vm.result.kernel.wakeups_condition, 1u);
+    EXPECT_EQ(vm.result.kernel.wakeups_condition,
+              ast.result.kernel.wakeups_condition);
+    EXPECT_EQ(vm.kernel->trace().size(), ast.kernel->trace().size());
+  }
+}
+
 // ---- execution semantics on both engines -----------------------------------
 
 class BothEngines : public ::testing::TestWithParam<Engine> {};
@@ -357,7 +525,44 @@ TEST(BytecodeVmTest, RecordsCompileAndExecutionMetrics) {
   ASSERT_NE(ops, nullptr);
   // 100 iterations x (compare + store + add + ...) — well above 500.
   EXPECT_GT(ops->counter, 500u);
+  const auto* evals = snap.find("sim.vm.condition_evals");
+  ASSERT_NE(evals, nullptr);
+  EXPECT_EQ(evals->counter, 0u);  // no `wait until` in this body
   EXPECT_NE(snap.find("sim.vm.compile_us"), nullptr);
+}
+
+TEST(BytecodeVmTest, ExecutionCountersPublishWhenTheRunEnds) {
+  // The VM counts in plain per-run integers: a snapshot taken while the
+  // run is in progress (by a native process scheduled after `main`
+  // suspends) sees nothing yet, the one after run() everything.
+  System system("t");
+  system.add_variable(Variable("S", Type::integer(32)));
+  Process p;
+  p.name = "main";
+  p.body = {for_stmt("I", lit(1), lit(10),
+                     {assign("S", add(var("S"), var("I")))}),
+            wait_for(5)};
+  system.add_process(std::move(p));
+
+  obs::MetricsRegistry metrics;
+  Kernel kernel;
+  kernel.set_obs(obs::ObsContext{&metrics, nullptr});
+  Interpreter interp(system, kernel, Engine::kVm);
+  ASSERT_TRUE(interp.setup().is_ok());
+  std::uint64_t mid_run_ops = 99;
+  kernel.add_process("probe", [&]() -> SimTask {
+    { auto aw = kernel.wait_for(1); co_await aw; }
+    mid_run_ops = metrics.snapshot().find("sim.vm.executed_ops")->counter;
+  });
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(mid_run_ops, 0u);
+  const std::uint64_t ops =
+      metrics.snapshot().find("sim.vm.executed_ops")->counter;
+  EXPECT_GT(ops, 10u);
+
+  // A second run publishes its own counts on top, once.
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(metrics.snapshot().find("sim.vm.executed_ops")->counter, 2 * ops);
 }
 
 }  // namespace

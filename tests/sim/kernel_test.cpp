@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/task.hpp"
 
 namespace ifsyn::sim {
@@ -644,6 +645,200 @@ TEST(KernelTest, BusLockFairnessUnderContention) {
   EXPECT_EQ(result.find("c2")->bus_wait_cycles, 5u);
   EXPECT_EQ(bus->hold_cycles, 4u + 2u + 2u + 2u);
   EXPECT_EQ(result.kernel.wakeups_bus_grant, 3u);
+}
+
+// ---- read-set (sensitized) wait until ---------------------------------------
+
+/// What one run_read_set_scenario() call observed.
+struct ReadSetRun {
+  int evals = 0;  ///< calls of the waiter's condition
+  std::vector<TraceEntry> trace;
+  KernelStats stats;
+};
+
+/// A waiter parks on `B.START = 1` while a stimulus process commits B.DATA twice
+/// and then B.START; on waking, the waiter raises B.ACK. `sensitized`
+/// hands the condition's read set {B.START} to the kernel; otherwise the
+/// condition goes on the every-commit list.
+ReadSetRun run_read_set_scenario(bool sensitized) {
+  Kernel kernel;
+  kernel.enable_trace(true);
+  kernel.add_signal_field(key("B", "START"), BitVector::from_uint(1, 0));
+  kernel.add_signal_field(key("B", "DATA"), BitVector::from_uint(8, 0));
+  kernel.add_signal_field(key("B", "ACK"), BitVector::from_uint(1, 0));
+  const SignalId start = kernel.signal_id(key("B", "START"));
+  const std::vector<SignalId> reads{start};
+  ReadSetRun out;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    auto cond = [&]() {
+      ++out.evals;
+      return kernel.signal_value(start).to_uint() == 1;
+    };
+    std::optional<std::span<const SignalId>> set;
+    if (sensitized) set = std::span<const SignalId>(reads);
+    { auto aw = kernel.wait_until(cond, set); co_await aw; }
+    kernel.schedule_signal(key("B", "ACK"), BitVector::from_uint(1, 1));
+  });
+  kernel.add_process("stimulus", [&]() -> SimTask {
+    for (std::uint64_t v = 1; v <= 2; ++v) {
+      { auto aw = kernel.wait_for(1); co_await aw; }
+      kernel.schedule_signal(key("B", "DATA"), BitVector::from_uint(8, v));
+    }
+    { auto aw = kernel.wait_for(1); co_await aw; }
+    kernel.schedule_signal(start, BitVector::from_uint(1, 1));
+  });
+  const SimResult result = kernel.run();
+  EXPECT_TRUE(result.status.is_ok()) << result.status;
+  out.trace = kernel.trace();
+  out.stats = result.kernel;
+  return out;
+}
+
+TEST(KernelTest, ReadSetConditionSkipsCommitsToFieldsItDoesNotRead) {
+  const ReadSetRun sensitized = run_read_set_scenario(true);
+  const ReadSetRun every_commit = run_read_set_scenario(false);
+
+  // Park-time check + the B.START commit; the two B.DATA commits are
+  // skipped. The every-commit list evaluates after those as well.
+  EXPECT_EQ(sensitized.evals, 2);
+  EXPECT_EQ(every_commit.evals, 4);
+
+  // Same wake: B.ACK rises at the same time and delta, and the scheduler
+  // counts agree.
+  ASSERT_EQ(sensitized.trace.size(), every_commit.trace.size());
+  for (std::size_t i = 0; i < sensitized.trace.size(); ++i) {
+    EXPECT_EQ(sensitized.trace[i].time, every_commit.trace[i].time);
+    EXPECT_EQ(sensitized.trace[i].delta, every_commit.trace[i].delta);
+    EXPECT_EQ(sensitized.trace[i].key, every_commit.trace[i].key);
+    EXPECT_EQ(sensitized.trace[i].value, every_commit.trace[i].value);
+  }
+  ASSERT_FALSE(sensitized.trace.empty());
+  EXPECT_EQ(sensitized.trace.back().key, key("B", "ACK"));
+  EXPECT_EQ(sensitized.trace.back().time, 3u);
+  EXPECT_EQ(sensitized.stats.wakeups_condition, 1u);
+  EXPECT_EQ(sensitized.stats.wakeups_condition,
+            every_commit.stats.wakeups_condition);
+  EXPECT_EQ(sensitized.stats.delta_cycles, every_commit.stats.delta_cycles);
+}
+
+TEST(KernelTest, ReadSetConditionEvaluatesOncePerCommit) {
+  // Both fields of a (deliberately repeated) read set change in the same
+  // delta: one evaluation, not one per field or per listed id.
+  Kernel kernel;
+  kernel.add_signal_field(key("A"), BitVector::from_uint(4, 0));
+  kernel.add_signal_field(key("B"), BitVector::from_uint(4, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("A")),
+                                    kernel.signal_id(key("B")),
+                                    kernel.signal_id(key("A"))};
+  int evals = 0;
+  std::uint64_t woke_at = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    auto cond = [&]() {
+      ++evals;
+      return kernel.signal_value(key("A")).to_uint() +
+                 kernel.signal_value(key("B")).to_uint() ==
+             7;
+    };
+    std::optional<std::span<const SignalId>> set{reads};
+    { auto aw = kernel.wait_until(cond, set); co_await aw; }
+    woke_at = kernel.now();
+  });
+  kernel.add_process("stimulus", [&]() -> SimTask {
+    { auto aw = kernel.wait_for(1); co_await aw; }
+    kernel.schedule_signal(key("A"), BitVector::from_uint(4, 1));
+    kernel.schedule_signal(key("B"), BitVector::from_uint(4, 2));
+    { auto aw = kernel.wait_for(1); co_await aw; }
+    kernel.schedule_signal(key("A"), BitVector::from_uint(4, 3));
+    kernel.schedule_signal(key("B"), BitVector::from_uint(4, 4));
+  });
+  const SimResult result = kernel.run();
+  ASSERT_TRUE(result.status.is_ok()) << result.status;
+  EXPECT_EQ(evals, 3);  // park, t=1 (false), t=2 (true)
+  EXPECT_EQ(woke_at, 2u);
+  EXPECT_EQ(result.kernel.wakeups_condition, 1u);
+}
+
+TEST(KernelTest, AbortedRunLeavesNoStaleConditionRegistrations) {
+  // Run 1 parks `waiter` on a read-set condition over S and aborts at
+  // max_time. Run 2's waiter only sleeps; a commit to S must neither
+  // evaluate the dead condition nor wake the sleeper early.
+  Kernel kernel;
+  kernel.add_signal_field(key("S"), BitVector::from_uint(1, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("S"))};
+  int run = 0;
+  int evals = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    if (run == 1) {
+      auto cond = [&]() {
+        ++evals;
+        return kernel.signal_value(key("S")).to_uint() == 1;
+      };
+      std::optional<std::span<const SignalId>> set{reads};
+      { auto aw = kernel.wait_until(cond, set); co_await aw; }
+    } else {
+      { auto aw = kernel.wait_for(100); co_await aw; }
+    }
+  });
+  kernel.add_process("stimulus", [&]() -> SimTask {
+    if (run == 1) {
+      for (;;) { auto aw = kernel.wait_for(10); co_await aw; }
+    }
+    { auto aw = kernel.wait_for(1); co_await aw; }
+    kernel.schedule_signal(key("S"), BitVector::from_uint(1, 1));
+  });
+
+  run = 1;
+  const SimResult aborted = kernel.run(/*max_time=*/50);
+  EXPECT_EQ(aborted.status.code(), StatusCode::kSimulationError);
+  EXPECT_EQ(evals, 1);  // the park-time check only
+
+  run = 2;
+  const SimResult second = kernel.run();
+  ASSERT_TRUE(second.status.is_ok()) << second.status;
+  EXPECT_EQ(evals, 1) << "stale condition evaluated in the second run";
+  EXPECT_EQ(second.find("waiter")->finish_time, 100u);
+  EXPECT_EQ(second.kernel.wakeups_condition, 0u);
+}
+
+TEST(KernelTest, CountersPublishOnceWhenTheRunEnds) {
+  // Bus hold/wait observations and engine counters are run-local: a
+  // snapshot taken mid-run sees none of them, the one after run() all.
+  obs::MetricsRegistry metrics;
+  Kernel kernel;
+  kernel.set_obs(obs::ObsContext{&metrics, nullptr});
+  kernel.add_bus_lock("BUS");
+  int hook_calls = 0;
+  kernel.on_run_end([&] { ++hook_calls; });
+  std::uint64_t mid_run_holds = 99;
+  kernel.add_process("a", [&]() -> SimTask {
+    { auto aw = kernel.acquire_bus("BUS"); co_await aw; }
+    { auto aw = kernel.wait_for(3); co_await aw; }
+    kernel.release_bus("BUS");
+    mid_run_holds = metrics.snapshot().find("sim.bus_hold_cycles")
+                        ->histogram->count;
+  });
+  kernel.add_process("b", [&]() -> SimTask {
+    { auto aw = kernel.acquire_bus("BUS"); co_await aw; }
+    { auto aw = kernel.wait_for(2); co_await aw; }
+    kernel.release_bus("BUS");
+  });
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(mid_run_holds, 0u);
+  EXPECT_EQ(hook_calls, 1);
+  const auto snap = metrics.snapshot();
+  const auto* holds = snap.find("sim.bus_hold_cycles");
+  const auto* waits = snap.find("sim.bus_wait_cycles");
+  ASSERT_NE(holds, nullptr);
+  ASSERT_NE(waits, nullptr);
+  EXPECT_EQ(holds->histogram->count, 2u);
+  EXPECT_EQ(holds->histogram->sum, 5u);
+  EXPECT_EQ(waits->histogram->count, 1u);
+  EXPECT_EQ(waits->histogram->sum, 3u);
+
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(hook_calls, 2);
+  EXPECT_EQ(metrics.snapshot().find("sim.bus_hold_cycles")->histogram->count,
+            4u);
 }
 
 }  // namespace

@@ -3,7 +3,15 @@
 
 Mirrors the C++ validator in src/obs/trace_sink.cpp (the two must agree;
 tests/obs/trace_sink_test.cpp pins the C++ side, this script is what CI
-runs against artifacts). Checked rules:
+runs against artifacts). The C++ side reads the document with the
+project's one JSON parser (src/util/json.cpp), whose rules match this
+script's: strict json.loads (raw control characters inside strings are
+rejected) plus a walk that rejects lone \\u surrogates. Every string the
+program writes goes through util's json_quote, which escapes all control
+characters, so its own traces pass both. Checked rules:
+
+Syntax
+  - the file is strict JSON with no lone surrogate escapes
 
 Structure
   - top level is an object with a "traceEvents" array

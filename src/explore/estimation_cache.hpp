@@ -1,48 +1,31 @@
 // ifsyn/explore/estimation_cache.hpp
 //
-// Thread-safe memoization of per-group estimation results, keyed by
-// (scope, group signature, width, protocol, fixed delay). Grouping plans
-// overlap heavily — the same channel set shows up in "as-grouped" and
+// Memoization of per-group estimation results, keyed by (scope, group
+// signature, width, protocol, fixed delay). Grouping plans overlap
+// heavily — the same channel set shows up in "as-grouped" and
 // "single-bus", and every plan revisits every width — so the exploration
 // engine would otherwise recompute identical Eq. 1 evaluations many times
-// over.
-//
-// Each key is computed exactly once: the first thread to miss installs a
-// shared future and computes the value outside the lock; concurrent
-// requesters for the same key block on that future instead of duplicating
-// the work. Because "who computes" never changes *what* is computed, and
-// every key misses exactly once, the hit/miss counters are themselves
-// deterministic across thread counts — they can appear in reports without
-// breaking the engine's byte-identical-output guarantee.
+// over. The store itself is obs::MemoCache (compute-once, optional LRU
+// bound, obs counters); this header supplies the key and the value.
 //
 // Two deployment shapes:
 //
 //   - Per-run (the explorer's default): unbounded, scope left empty, the
-//     cache lives for one Explorer::run. Hit/miss counters stay
-//     deterministic (see above).
+//     cache lives for one Explorer::run. Every key misses exactly once
+//     whatever the thread count, so hit/miss counts can appear in reports
+//     without breaking the engine's byte-identical-output guarantee.
 //   - Process-wide shared store (src/serve): one cache outlives many
 //     requests, keys carry a `scope` (the interned spec's content hash
 //     plus an option fingerprint) so identical group signatures from
-//     different specs never collide, and a capacity bounds memory: least
-//     recently used entries are evicted, counted on the eviction counter.
-//     Shared hit/miss counts depend on request interleaving, so they are
-//     service metrics, not report material.
-//
-// Hit/miss accounting is registry-backed (obs::Counter), the same
-// instrumentation idiom as the rest of the system: pass the registry's
-// counters to the constructor to surface them under your chosen names, or
-// default-construct to use private counters nobody else sees.
+//     different specs never collide, and a capacity bounds memory with
+//     LRU eviction. Shared hit/miss counts depend on request
+//     interleaving, so they are service metrics, not report material.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <future>
-#include <list>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
-#include "obs/metrics.hpp"
+#include "obs/memo_cache.hpp"
 #include "spec/system.hpp"
 
 namespace ifsyn::explore {
@@ -91,64 +74,9 @@ struct GroupEstimate {
   std::string worst_accessor;
 };
 
-class EstimationCache {
- public:
-  /// Default: private counters, unbounded. Pass registry-owned counters
-  /// (which must outlive the cache) to surface hit/miss/eviction alongside
-  /// other metrics. `capacity` > 0 bounds the entry count with LRU
-  /// eviction; 0 keeps the cache unbounded (the per-run shape).
-  EstimationCache()
-      : hits_(&own_hits_), misses_(&own_misses_),
-        evictions_(&own_evictions_) {}
-  EstimationCache(obs::Counter* hits, obs::Counter* misses,
-                  obs::Counter* evictions = nullptr,
-                  std::size_t capacity = 0)
-      : capacity_(capacity),
-        hits_(hits ? hits : &own_hits_),
-        misses_(misses ? misses : &own_misses_),
-        evictions_(evictions ? evictions : &own_evictions_) {}
-
-  /// Returns the cached estimate for `key`, computing it via `compute` on
-  /// the first request. `compute` must be pure with respect to the key.
-  /// `was_hit` (optional) reports whether this lookup was served from
-  /// memory — e.g. to emit a trace instant event at the call site.
-  GroupEstimate get_or_compute(
-      const EstimationKey& key,
-      const std::function<GroupEstimate()>& compute,
-      bool* was_hit = nullptr);
-
-  /// Lookups served from memory. Deterministic for a per-run cache (see
-  /// file comment); load-dependent for a shared store.
-  std::uint64_t hits() const { return hits_->value(); }
-  /// Lookups that computed: exactly one per distinct live key.
-  std::uint64_t misses() const { return misses_->value(); }
-  /// Entries dropped by the LRU bound (0 for unbounded caches).
-  std::uint64_t evictions() const { return evictions_->value(); }
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::shared_future<GroupEstimate> future;
-    std::list<EstimationKey>::iterator lru;  ///< position in lru_
-    std::uint64_t gen = 0;  ///< installation id, for the exception path
-  };
-
-  using Map = std::unordered_map<EstimationKey, Entry, EstimationKeyHash>;
-
-  mutable std::mutex mu_;
-  Map map_;
-  /// Most recently used at the front. Only maintained when bounded — the
-  /// per-run shape skips the list upkeep entirely.
-  std::list<EstimationKey> lru_;
-  std::size_t capacity_ = 0;
-  std::uint64_t gen_ = 0;  ///< guarded by mu_
-  obs::Counter own_hits_;
-  obs::Counter own_misses_;
-  obs::Counter own_evictions_;
-  obs::Counter* hits_;       // never null
-  obs::Counter* misses_;     // never null
-  obs::Counter* evictions_;  // never null
-};
+/// Constructed as (capacity, hits, misses, evictions); the per-run shape
+/// passes capacity 0 (unbounded) and the explorer's registry counters.
+using EstimationCache =
+    obs::MemoCache<EstimationKey, GroupEstimate, EstimationKeyHash>;
 
 }  // namespace ifsyn::explore

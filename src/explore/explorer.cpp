@@ -116,7 +116,7 @@ Result<ExplorationResult> Explorer::run() const {
   // The registry may be shared across runs; stats report this run's delta.
   const std::uint64_t hits0 = c_hits.value();
   const std::uint64_t misses0 = c_misses.value();
-  EstimationCache cache(&c_hits, &c_misses);
+  EstimationCache cache(/*capacity=*/0, &c_hits, &c_misses);
 
   ExplorationResult out;
   out.points.resize(points.size());

@@ -2,24 +2,11 @@
 
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace ifsyn::explore {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 const char* protocol_short_name(spec::ProtocolKind kind) {
   switch (kind) {
@@ -122,7 +109,7 @@ std::string render_exploration_json(const spec::System& system,
   (void)options;
   std::ostringstream os;
   os << "{\n";
-  os << "  \"system\": \"" << json_escape(system.name()) << "\",\n";
+  os << "  \"system\": " << json_quote(system.name()) << ",\n";
   os << "  \"stats\": {"
      << "\"total\": " << result.stats.total_points
      << ", \"pruned\": " << result.stats.pruned_points
@@ -150,8 +137,8 @@ std::string render_exploration_json(const spec::System& system,
        << ", \"data_pins\": " << point.data_pins
        << ", \"clocks\": " << entry.worst_case_clocks
        << ", \"width\": " << point.point.width << ", \"protocol\": \""
-       << protocol_short_name(point.point.protocol) << "\", \"grouping\": \""
-       << json_escape(point.grouping_name) << "\", \"knee\": "
+       << protocol_short_name(point.point.protocol) << "\", \"grouping\": "
+       << json_quote(point.grouping_name) << ", \"knee\": "
        << ((knee && entry.point_index == knee->point_index) ? "true"
                                                             : "false");
     if (point.validated) {
@@ -166,8 +153,8 @@ std::string render_exploration_json(const spec::System& system,
   os << "  \"points\": [\n";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const PointResult& point = result.points[i];
-    os << "    {\"index\": " << point.point.index << ", \"grouping\": \""
-       << json_escape(point.grouping_name) << "\", \"width\": "
+    os << "    {\"index\": " << point.point.index << ", \"grouping\": "
+       << json_quote(point.grouping_name) << ", \"width\": "
        << point.point.width << ", \"protocol\": \""
        << protocol_short_name(point.point.protocol) << "\", \"pruned\": "
        << (point.pruned ? "true" : "false")
@@ -177,8 +164,8 @@ std::string render_exploration_json(const spec::System& system,
     if (!point.pruned) {
       os << ", \"wires\": " << point.total_wires
          << ", \"clocks\": " << point.worst_case_clocks
-         << ", \"limiting_process\": \""
-         << json_escape(point.limiting_process) << "\"";
+         << ", \"limiting_process\": "
+         << json_quote(point.limiting_process);
     }
     os << "}" << (i + 1 < result.points.size() ? "," : "") << "\n";
   }

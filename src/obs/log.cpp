@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace ifsyn::obs {
 
 const char* severity_name(Severity severity) {
@@ -66,41 +68,21 @@ std::uint64_t EventLog::suppressed() const {
   return suppressed_;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string EventLog::to_jsonl() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   for (const LogEvent& e : events_) {
     os << "{\"ts_us\":" << e.ts_us << ",\"severity\":\""
-       << severity_name(e.severity) << "\",\"component\":\""
-       << json_escape(e.component) << "\",\"message\":\""
-       << json_escape(e.message) << "\"";
+       << severity_name(e.severity)
+       << "\",\"component\":" << json_quote(e.component)
+       << ",\"message\":" << json_quote(e.message);
     if (!e.fields.empty()) {
       os << ",\"fields\":{";
       bool first = true;
       for (const auto& [key, value] : e.fields) {
         if (!first) os << ",";
         first = false;
-        os << "\"" << json_escape(key) << "\":\"" << json_escape(value)
-           << "\"";
+        os << json_quote(key) << ":" << json_quote(value);
       }
       os << "}";
     }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace ifsyn::obs {
 
@@ -155,23 +156,8 @@ std::size_t MetricsRegistry::size() const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void render_entry(std::ostringstream& os, const MetricsSnapshot::Entry& e) {
-  os << "    \"" << json_escape(e.name) << "\": ";
+  os << "    " << json_quote(e.name) << ": ";
   switch (e.kind) {
     case MetricKind::kCounter:
       os << e.counter;

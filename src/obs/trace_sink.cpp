@@ -1,7 +1,8 @@
 #include "obs/trace_sink.hpp"
 
-#include <cctype>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace ifsyn::obs {
 
@@ -86,25 +87,6 @@ std::size_t TraceSink::event_count() const {
 
 // ---- serialization -------------------------------------------------------
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string TraceSink::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
@@ -118,14 +100,14 @@ std::string TraceSink::to_json() const {
     sep();
     os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
           "\"tid\": "
-       << tid << ", \"args\": {\"name\": \"" << json_escape(name) << "\"}}";
+       << tid << ", \"args\": {\"name\": " << json_quote(name) << "}}";
   }
   for (const Event& e : events_) {
     sep();
-    os << "  {\"name\": \"" << json_escape(e.name) << "\", \"ph\": \"" << e.ph
+    os << "  {\"name\": " << json_quote(e.name) << ", \"ph\": \"" << e.ph
        << "\", \"ts\": " << e.ts << ", \"pid\": 1, \"tid\": " << e.tid;
     if (!e.category.empty()) {
-      os << ", \"cat\": \"" << json_escape(e.category) << "\"";
+      os << ", \"cat\": " << json_quote(e.category);
     }
     switch (e.ph) {
       case 'X':
@@ -148,8 +130,7 @@ std::string TraceSink::to_json() const {
         break;
     }
     if (!e.trace_id.empty() && e.ph != 'C') {
-      os << ", \"args\": {\"trace_id\": \"" << json_escape(e.trace_id)
-         << "\"}";
+      os << ", \"args\": {\"trace_id\": " << json_quote(e.trace_id) << "}";
     }
     os << "}";
   }
@@ -159,254 +140,12 @@ std::string TraceSink::to_json() const {
 
 // ---- validation ----------------------------------------------------------
 //
-// A minimal recursive-descent JSON reader: just enough structure to prove
-// the document parses and to expose objects/arrays/strings/numbers for the
-// schema checks below. Strings decode the full RFC 8259 escape set,
-// including \uXXXX (with surrogate pairs re-encoded as UTF-8); malformed
-// escapes are positioned schema errors, never silently passed through.
+// The document is read with the project's one JSON parser (util/json),
+// whose strictness — no raw control characters, no lone surrogates —
+// matches scripts/validate_trace_json.py; the schema checks below walk
+// the parsed value.
 
 namespace {
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  double number = 0;
-  bool boolean = false;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* get(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(const std::string& text, std::string* error)
-      : text_(text), error_(error) {}
-
-  bool parse(JsonValue* out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& why) {
-    if (error_ && error_->empty()) {
-      *error_ = why + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(JsonValue* out) {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') {
-      out->type = JsonValue::Type::kString;
-      return parse_string(&out->string);
-    }
-    if (c == 't' || c == 'f') return parse_literal(out);
-    if (c == 'n') return parse_null(out);
-    return parse_number(out);
-  }
-
-  bool parse_object(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    if (!consume('{')) return fail("expected '{'");
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(&value)) return false;
-      out->object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    if (!consume('[')) return fail("expected '['");
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(&value)) return false;
-      out->array.push_back(std::move(value));
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return fail("expected ',' or ']'");
-    }
-  }
-
-  /// Four hex digits of a \uXXXX escape; fails with position on anything
-  /// shorter or non-hex.
-  bool parse_hex4(unsigned* out) {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (pos_ >= text_.size()) return fail("truncated \\u escape");
-      const char c = text_[pos_];
-      unsigned digit;
-      if (c >= '0' && c <= '9') digit = static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') digit = static_cast<unsigned>(c - 'a') + 10;
-      else if (c >= 'A' && c <= 'F') digit = static_cast<unsigned>(c - 'A') + 10;
-      else return fail("non-hex digit in \\u escape");
-      value = value * 16 + digit;
-      ++pos_;
-    }
-    *out = value;
-    return true;
-  }
-
-  static void append_utf8(std::string* out, unsigned cp) {
-    if (cp < 0x80) {
-      *out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      *out += static_cast<char>(0xC0 | (cp >> 6));
-      *out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      *out += static_cast<char>(0xE0 | (cp >> 12));
-      *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      *out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      *out += static_cast<char>(0xF0 | (cp >> 18));
-      *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      *out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return fail("expected string");
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return fail("bad escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          unsigned cp;
-          if (!parse_hex4(&cp)) return false;
-          if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return fail("lone low surrogate in \\u escape");
-          }
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a \uXXXX low surrogate must follow.
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              return fail("high surrogate not followed by \\u escape");
-            }
-            pos_ += 2;
-            unsigned low;
-            if (!parse_hex4(&low)) return false;
-            if (low < 0xDC00 || low > 0xDFFF) {
-              return fail("high surrogate not followed by a low surrogate");
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          return fail(std::string("unknown escape \\") + esc);
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_number(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected a value");
-    out->type = JsonValue::Type::kNumber;
-    try {
-      out->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return fail("malformed number");
-    }
-    return true;
-  }
-
-  bool parse_literal(JsonValue* out) {
-    out->type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return fail("expected true/false");
-  }
-
-  bool parse_null(JsonValue* out) {
-    out->type = JsonValue::Type::kNull;
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    return fail("expected null");
-  }
-
-  const std::string& text_;
-  std::string* error_;
-  std::size_t pos_ = 0;
-};
 
 bool event_error(std::string* error, std::size_t index,
                  const std::string& why) {
@@ -419,56 +158,54 @@ bool event_error(std::string* error, std::size_t index,
 bool is_flow_phase(char ph) { return ph == 's' || ph == 't' || ph == 'f'; }
 bool is_async_phase(char ph) { return ph == 'b' || ph == 'n' || ph == 'e'; }
 
-bool check_event(const JsonValue& event, std::size_t index,
-                 std::string* error) {
-  if (event.type != JsonValue::Type::kObject) {
+bool check_event(const Json& event, std::size_t index, std::string* error) {
+  if (!event.is_object()) {
     return event_error(error, index, "not an object");
   }
-  const JsonValue* name = event.get("name");
-  if (!name || name->type != JsonValue::Type::kString) {
+  const Json* name = event.find("name");
+  if (!name || !name->is_string()) {
     return event_error(error, index, "missing string \"name\"");
   }
-  const JsonValue* ph = event.get("ph");
-  if (!ph || ph->type != JsonValue::Type::kString || ph->string.size() != 1) {
+  const Json* ph = event.find("ph");
+  if (!ph || !ph->is_string() || ph->as_string().size() != 1) {
     return event_error(error, index, "missing one-char \"ph\"");
   }
   for (const char* key : {"pid", "tid"}) {
-    const JsonValue* v = event.get(key);
-    if (!v || v->type != JsonValue::Type::kNumber) {
+    const Json* v = event.find(key);
+    if (!v || !v->is_number()) {
       return event_error(error, index,
                          std::string("missing numeric \"") + key + "\"");
     }
   }
-  const char phase = ph->string[0];
+  const char phase = ph->as_string()[0];
   if (phase != 'M') {  // metadata events are timestamp-free
-    const JsonValue* ts = event.get("ts");
-    if (!ts || ts->type != JsonValue::Type::kNumber) {
+    const Json* ts = event.find("ts");
+    if (!ts || !ts->is_number()) {
       return event_error(error, index, "missing numeric \"ts\"");
     }
   }
   if (phase == 'X') {
-    const JsonValue* dur = event.get("dur");
-    if (!dur || dur->type != JsonValue::Type::kNumber) {
+    const Json* dur = event.find("dur");
+    if (!dur || !dur->is_number()) {
       return event_error(error, index, "complete event missing \"dur\"");
     }
   }
   if (phase == 'C' || phase == 'M') {
-    const JsonValue* args = event.get("args");
-    if (!args || args->type != JsonValue::Type::kObject) {
+    const Json* args = event.find("args");
+    if (!args || !args->is_object()) {
       return event_error(error, index, "missing object \"args\"");
     }
   }
   if (is_flow_phase(phase) || is_async_phase(phase)) {
-    const JsonValue* id = event.get("id");
-    if (!id || (id->type != JsonValue::Type::kNumber &&
-                id->type != JsonValue::Type::kString)) {
+    const Json* id = event.find("id");
+    if (!id || (!id->is_number() && !id->is_string())) {
       return event_error(error, index,
                          std::string("phase \"") + phase +
                              "\" missing \"id\" (number or string)");
     }
     if (is_async_phase(phase)) {
-      const JsonValue* cat = event.get("cat");
-      if (!cat || cat->type != JsonValue::Type::kString) {
+      const Json* cat = event.find("cat");
+      if (!cat || !cat->is_string()) {
         return event_error(error, index,
                            std::string("async phase \"") + phase +
                                "\" missing string \"cat\"");
@@ -478,24 +215,22 @@ bool check_event(const JsonValue& event, std::size_t index,
   return true;
 }
 
-std::string event_id_string(const JsonValue& event) {
-  const JsonValue* id = event.get("id");
-  if (id->type == JsonValue::Type::kString) return id->string;
-  std::ostringstream os;
-  os << id->number;
-  return os.str();
+std::string event_id_string(const Json& event) {
+  const Json* id = event.find("id");
+  // dump() prints integral ids exactly (no 6-digit stream rounding, which
+  // would merge ids like 1234567 and 1234568).
+  return id->is_string() ? id->as_string() : id->dump();
 }
 
 /// Cross-event pairing rules: flows must form s -> [t...] -> f chains per
 /// id (no double-start, no end or step without a start, no id left open),
 /// and async begins/ends must balance per (category, id, name).
-bool check_bindings(const std::vector<JsonValue>& events,
-                    std::string* error) {
+bool check_bindings(const JsonArray& events, std::string* error) {
   std::map<std::string, std::size_t> open_flows;  // id -> start index
   std::map<std::string, int> open_async;  // cat|id|name -> nesting depth
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const JsonValue& event = events[i];
-    const char phase = event.get("ph")->string[0];
+    const Json& event = events[i];
+    const char phase = event.find("ph")->as_string()[0];
     if (is_flow_phase(phase)) {
       const std::string id = event_id_string(event);
       if (phase == 's') {
@@ -515,9 +250,9 @@ bool check_bindings(const std::vector<JsonValue>& events,
         if (phase == 'f') open_flows.erase(it);
       }
     } else if (is_async_phase(phase)) {
-      const std::string key = event.get("cat")->string + "|" +
+      const std::string key = event.find("cat")->as_string() + "|" +
                               event_id_string(event) + "|" +
-                              event.get("name")->string;
+                              event.find("name")->as_string();
       if (phase == 'b') {
         ++open_async[key];
       } else if (phase == 'e') {
@@ -551,22 +286,24 @@ bool check_bindings(const std::vector<JsonValue>& events,
 
 bool validate_trace_json(const std::string& json, std::string* error) {
   if (error) error->clear();
-  JsonValue root;
-  JsonParser parser(json, error);
-  if (!parser.parse(&root)) return false;
-  if (root.type != JsonValue::Type::kObject) {
-    if (error && error->empty()) *error = "top level is not an object";
+  const Result<Json> root = parse_json(json);
+  if (!root.is_ok()) {
+    if (error) *error = root.status().message();
     return false;
   }
-  const JsonValue* events = root.get("traceEvents");
-  if (!events || events->type != JsonValue::Type::kArray) {
-    if (error && error->empty()) *error = "missing \"traceEvents\" array";
+  if (!root->is_object()) {
+    if (error) *error = "top level is not an object";
     return false;
   }
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    if (!check_event(events->array[i], i, error)) return false;
+  const Json* events = root->find("traceEvents");
+  if (!events || !events->is_array()) {
+    if (error) *error = "missing \"traceEvents\" array";
+    return false;
   }
-  return check_bindings(events->array, error);
+  for (std::size_t i = 0; i < events->as_array().size(); ++i) {
+    if (!check_event(events->as_array()[i], i, error)) return false;
+  }
+  return check_bindings(events->as_array(), error);
 }
 
 }  // namespace ifsyn::obs

@@ -56,6 +56,20 @@ std::string estimation_scope(const InternedSpec& spec,
   return scope;
 }
 
+/// The synthesis flow's options for a synth or check request: the
+/// request's explicit choices over the spec's own defaults.
+core::SynthesisOptions synthesis_options(const RequestOptions& ro,
+                                         const InternedSpec& spec,
+                                         const obs::ObsContext& obs) {
+  core::SynthesisOptions options;
+  if (ro.protocol) options.protocol = *ro.protocol;
+  if (ro.fixed_delay_cycles) options.fixed_delay_cycles = *ro.fixed_delay_cycles;
+  options.arbitrate = ro.arbitrate.value_or(spec.defaults.arbitrate);
+  options.compute_cycles_override = spec.defaults.compute_cycles_override;
+  options.obs = obs;
+  return options;
+}
+
 }  // namespace
 
 Service::Service(ServiceOptions options)
@@ -67,13 +81,13 @@ Service::Service(ServiceOptions options)
                                    obs::Determinism::kWallClock),
                 &registry_.counter("serve.spec_cache.evictions",
                                    obs::Determinism::kWallClock)),
-      estimation_cache_(&registry_.counter("serve.estimation_cache.hits",
+      estimation_cache_(options_.estimation_cache_capacity,
+                        &registry_.counter("serve.estimation_cache.hits",
                                            obs::Determinism::kWallClock),
                         &registry_.counter("serve.estimation_cache.misses",
                                            obs::Determinism::kWallClock),
                         &registry_.counter("serve.estimation_cache.evictions",
-                                           obs::Determinism::kWallClock),
-                        options_.estimation_cache_capacity),
+                                           obs::Determinism::kWallClock)),
       program_cache_(options_.program_cache_capacity,
                      &registry_.counter("serve.program_cache.hits",
                                         obs::Determinism::kWallClock),
@@ -558,12 +572,7 @@ Response Service::execute_synth(const Request& request,
                                 const obs::ObsContext& obs,
                                 RequestArtifacts& artifacts) {
   const RequestOptions& ro = request.options;
-  core::SynthesisOptions options;
-  if (ro.protocol) options.protocol = *ro.protocol;
-  if (ro.fixed_delay_cycles) options.fixed_delay_cycles = *ro.fixed_delay_cycles;
-  options.arbitrate = ro.arbitrate.value_or(spec.defaults.arbitrate);
-  options.compute_cycles_override = spec.defaults.compute_cycles_override;
-  options.obs = obs;
+  const core::SynthesisOptions options = synthesis_options(ro, spec, obs);
 
   const spec::System& original = *spec.system;
   spec::System refined = original.clone(original.name() + "_refined");
@@ -665,12 +674,7 @@ Response Service::execute_check(const Request& request,
                                 const InternedSpec& spec,
                                 const obs::ObsContext& obs) {
   const RequestOptions& ro = request.options;
-  core::SynthesisOptions options;
-  if (ro.protocol) options.protocol = *ro.protocol;
-  if (ro.fixed_delay_cycles) options.fixed_delay_cycles = *ro.fixed_delay_cycles;
-  options.arbitrate = ro.arbitrate.value_or(spec.defaults.arbitrate);
-  options.compute_cycles_override = spec.defaults.compute_cycles_override;
-  options.obs = obs;
+  core::SynthesisOptions options = synthesis_options(ro, spec, obs);
   // Collect the full diagnostic list instead of failing synthesis on the
   // first finding.
   options.run_checker = false;

@@ -15,10 +15,10 @@
 //             deadline stamped                    the engine, render the
 //             at submission                       deterministic report
 //
-// Three shared stores, all content-addressed, LRU-bounded, counter-
-// instrumented in the service registry:
+// Three shared stores, each an obs::MemoCache (compute-once, LRU-
+// bounded, counter-instrumented in the service registry):
 //
-//   - SpecInterner        parsed spec::Systems by content hash
+//   - SpecInterner        parse outcomes (system or error) by content hash
 //   - EstimationCache     per-group Eq. 1 estimates, scope-qualified by
 //                         spec hash + calibration fingerprint
 //   - sim ProgramCache    compiled bytecode, installed process-wide so

@@ -14,25 +14,6 @@ namespace ifsyn::serve {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t seed, std::string_view text) {
-  std::uint64_t h = seed;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
 /// A compiled-in case study and the defaults it is defined with.
 struct BuiltinSpec {
   spec::System (*make)();
@@ -69,53 +50,6 @@ Result<BuiltinSpec> find_builtin(const std::string& name) {
 
 }  // namespace
 
-std::string content_hash(std::string_view text) {
-  return hex64(fnv1a(14695981039346656037ull, text)) +
-         hex64(fnv1a(0x9e3779b97f4a7c15ull, text)) + "-" +
-         std::to_string(text.size());
-}
-
-SpecInterner::SpecInterner(std::size_t capacity, obs::Counter* hits,
-                           obs::Counter* misses, obs::Counter* evictions)
-    : capacity_(capacity),
-      hits_(hits ? hits : &own_hits_),
-      misses_(misses ? misses : &own_misses_),
-      evictions_(evictions ? evictions : &own_evictions_) {}
-
-Result<InternedSpec> SpecInterner::lookup(const std::string& hash,
-                                          bool* found) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(hash);
-  if (it == map_.end()) {
-    *found = false;
-    misses_->add(1);
-    return invalid_argument("miss");  // caller ignores; *found is false
-  }
-  *found = true;
-  hits_->add(1);
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return it->second.spec;
-}
-
-InternedSpec SpecInterner::insert_locked(InternedSpec spec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(spec.hash);
-  if (it != map_.end()) {
-    // A racing intern of the same content won; its system is identical.
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.spec;
-  }
-  lru_.push_front(spec.hash);
-  Entry entry{spec, lru_.begin()};
-  map_.emplace(spec.hash, std::move(entry));
-  while (capacity_ > 0 && map_.size() > capacity_ && lru_.size() > 1) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    evictions_->add(1);
-  }
-  return spec;
-}
-
 Result<InternedSpec> SpecInterner::intern_target(const std::string& target) {
   if (target.rfind("builtin:", 0) == 0) {
     const std::string name = target.substr(8);
@@ -124,15 +58,11 @@ Result<InternedSpec> SpecInterner::intern_target(const std::string& target) {
     // Builtins are compiled in: their content is fixed for the process,
     // so a versioned sentinel is an honest content hash.
     const std::string hash = content_hash("builtin:" + name + "|v1");
-    bool found = false;
-    Result<InternedSpec> cached = lookup(hash, &found);
-    if (found) return cached;
-    InternedSpec spec;
-    spec.hash = hash;
-    spec.system =
-        std::make_shared<const spec::System>(builtin->make());
-    spec.defaults = builtin->defaults;
-    return insert_locked(std::move(spec));
+    return cache_.get_or_compute(hash, [&]() -> Result<InternedSpec> {
+      return InternedSpec{
+          hash, std::make_shared<const spec::System>(builtin->make()),
+          builtin->defaults};
+    });
   }
 
   std::ifstream in(target, std::ios::binary);
@@ -151,22 +81,13 @@ Result<InternedSpec> SpecInterner::intern_target(const std::string& target) {
 
 Result<InternedSpec> SpecInterner::intern_source(const std::string& source) {
   const std::string hash = content_hash(source);
-  bool found = false;
-  Result<InternedSpec> cached = lookup(hash, &found);
-  if (found) return cached;
-
-  Result<spec::System> parsed = spec::parse_system(source);
-  if (!parsed.is_ok()) return parsed.status();
-  InternedSpec spec;
-  spec.hash = hash;
-  spec.system =
-      std::make_shared<const spec::System>(std::move(parsed).value());
-  return insert_locked(std::move(spec));
-}
-
-std::size_t SpecInterner::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
+  return cache_.get_or_compute(hash, [&]() -> Result<InternedSpec> {
+    Result<spec::System> parsed = spec::parse_system(source);
+    if (!parsed.is_ok()) return parsed.status();
+    return InternedSpec{
+        hash, std::make_shared<const spec::System>(std::move(parsed).value()),
+        {}};
+  });
 }
 
 }  // namespace ifsyn::serve

@@ -16,29 +16,28 @@
 // cache; builtins hash a versioned sentinel (they are compiled in and
 // immutable for the process lifetime).
 //
-// Bounded LRU, same discipline as the other shared stores: capacity 0 =
-// unbounded; hit/miss/eviction counters are obs-registry-backed.
+// The store is obs::MemoCache, the same compute-once cache behind the
+// other shared stores: racing requests for one spec parse it once,
+// capacity 0 = unbounded, hit/miss/eviction counters are obs-registry-
+// backed. Parsing is a pure function of the bytes, so the cached value
+// is the parse outcome, a system or a parse error: a spec that fails to
+// parse fails again from memory. Only file-read failures and unknown
+// builtin names are not cached (there are no bytes to key them on).
 #pragma once
 
-#include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 
-#include "core/interface_synthesizer.hpp"
-#include "obs/metrics.hpp"
+#include "obs/memo_cache.hpp"
 #include "spec/system.hpp"
+#include "util/content_hash.hpp"
 #include "util/status.hpp"
 
 namespace ifsyn::serve {
 
-/// 128-bit hex content hash (two independently seeded 64-bit FNV-1a
-/// passes) plus a length tag — the same shape as the bytecode program
-/// cache's key.
-std::string content_hash(std::string_view text);
+/// The spec hash is util's content_hash of the spec bytes.
+using ifsyn::content_hash;
 
 /// Per-spec synthesis defaults a builtin carries with it: the calibration
 /// and arbitration its case study is defined with. Explicit request
@@ -61,7 +60,8 @@ class SpecInterner {
   explicit SpecInterner(std::size_t capacity = 0,
                         obs::Counter* hits = nullptr,
                         obs::Counter* misses = nullptr,
-                        obs::Counter* evictions = nullptr);
+                        obs::Counter* evictions = nullptr)
+      : cache_(capacity, hits, misses, evictions) {}
 
   /// Resolve a request target: "builtin:<name>" or a spec file path.
   Result<InternedSpec> intern_target(const std::string& target);
@@ -69,29 +69,10 @@ class SpecInterner {
   /// Intern inline spec source text.
   Result<InternedSpec> intern_source(const std::string& source);
 
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
 
  private:
-  struct Entry {
-    InternedSpec spec;
-    std::list<std::string>::iterator lru;
-  };
-
-  /// Insert-or-get under the lock; parsing happened outside. Two racing
-  /// parsers of the same content produce identical systems, so first
-  /// insert wins and the loser's work is discarded — simpler than the
-  /// future idiom and harmless for a parse-bound cache.
-  InternedSpec insert_locked(InternedSpec spec);
-  Result<InternedSpec> lookup(const std::string& hash, bool* found);
-
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> map_;
-  std::list<std::string> lru_;  // front = most recent
-  std::size_t capacity_;
-  obs::Counter own_hits_, own_misses_, own_evictions_;
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
+  obs::MemoCache<std::string, Result<InternedSpec>> cache_;
 };
 
 }  // namespace ifsyn::serve

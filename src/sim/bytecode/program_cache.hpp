@@ -15,28 +15,23 @@
 // differential test in tests/sim/program_cache_test.cpp holds the two
 // paths to identical simulation results.
 //
-// Keys come from system_cache_key(): a content hash over the printed IR
-// plus the kernel-relevant facts the printer does not render (bus lock
-// declarations). Keyed lookups use the same compute-once shared_future
-// idiom as explore::EstimationCache: concurrent requests for one key
-// block on a single compile. A capacity bounds memory via LRU eviction;
-// hit/miss/eviction counts land on caller-supplied obs counters.
+// Keys come from system_cache_key(): util's content_hash over the printed
+// IR plus the kernel-relevant facts the printer does not render (bus lock
+// declarations). The store is obs::MemoCache: concurrent requests for one
+// key block on a single compile, a capacity bounds memory via LRU
+// eviction, and hit/miss/eviction counts land on caller-supplied obs
+// counters. Evicted artifacts stay alive for as long as running Vms hold
+// their shared_ptr; the store merely forgets them.
 //
 // Nothing consults a cache by default — one-shot CLI runs compile exactly
 // as before. A front end opts the whole process in with
 // install_process_cache(); Vm::setup then routes compiles through it.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
-#include "obs/metrics.hpp"
+#include "obs/memo_cache.hpp"
 #include "sim/bytecode/program.hpp"
 #include "spec/system.hpp"
 
@@ -50,53 +45,11 @@ namespace ifsyn::sim::bytecode {
 std::string system_cache_key(const spec::System& system,
                              OptLevel level = OptLevel::kNone);
 
-class ProgramCache {
- public:
-  /// `capacity` > 0 bounds the entry count with LRU eviction; 0 =
-  /// unbounded. Counters (optional, registry-owned, must outlive the
-  /// cache) surface hits/misses/evictions.
-  explicit ProgramCache(std::size_t capacity = 0,
-                        obs::Counter* hits = nullptr,
-                        obs::Counter* misses = nullptr,
-                        obs::Counter* evictions = nullptr)
-      : capacity_(capacity),
-        hits_(hits ? hits : &own_hits_),
-        misses_(misses ? misses : &own_misses_),
-        evictions_(evictions ? evictions : &own_evictions_) {}
-
-  /// Returns the artifact for `key`, compiling via `compile` on first
-  /// request. `compile` must be pure with respect to the key. `was_hit`
-  /// (optional) reports whether the artifact came from memory.
-  std::shared_ptr<const CompiledSystem> get_or_compile(
-      const std::string& key,
-      const std::function<CompiledSystem()>& compile,
-      bool* was_hit = nullptr);
-
-  std::uint64_t hits() const { return hits_->value(); }
-  std::uint64_t misses() const { return misses_->value(); }
-  std::uint64_t evictions() const { return evictions_->value(); }
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::shared_future<std::shared_ptr<const CompiledSystem>> future;
-    std::list<std::string>::iterator lru;
-    std::uint64_t gen = 0;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> map_;
-  std::list<std::string> lru_;  ///< most recently used first (bounded only)
-  std::size_t capacity_ = 0;
-  std::uint64_t gen_ = 0;
-  obs::Counter own_hits_;
-  obs::Counter own_misses_;
-  obs::Counter own_evictions_;
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
-};
+/// Constructed as (capacity, hits, misses, evictions); capacity 0 =
+/// unbounded. `get_or_compute(key, compile)` takes a callable returning
+/// the shared artifact.
+using ProgramCache =
+    obs::MemoCache<std::string, std::shared_ptr<const CompiledSystem>>;
 
 /// Install `cache` as the process-wide bytecode store consulted by every
 /// subsequent Vm::setup (nullptr uninstalls). The caller keeps ownership

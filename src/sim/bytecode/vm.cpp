@@ -34,9 +34,11 @@ void Vm::setup() {
     // The key incorporates the optimization level: a process serving
     // mixed IFSYN_SIM_OPT requests keeps one artifact per level and can
     // never hand an optimized program to a reference-engine run.
-    compiled_ = cache->get_or_compile(
-        system_cache_key(system_, level),
-        [this, level] { return compile(system_, kernel_, level); });
+    compiled_ = cache->get_or_compute(
+        system_cache_key(system_, level), [this, level] {
+          return std::make_shared<const CompiledSystem>(
+              compile(system_, kernel_, level));
+        });
   } else {
     compiled_ = std::make_shared<const CompiledSystem>(
         compile(system_, kernel_, level));

@@ -164,8 +164,8 @@ TEST(EstimationCacheTest, ScopeSeparatesIdenticalSignatures) {
 
 TEST(EstimationCacheTest, TinyCapacityEvictsLeastRecentlyUsed) {
   obs::MetricsRegistry registry;
-  EstimationCache cache(&registry.counter("h"), &registry.counter("m"),
-                        &registry.counter("e"), /*capacity=*/2);
+  EstimationCache cache(/*capacity=*/2, &registry.counter("h"),
+                        &registry.counter("m"), &registry.counter("e"));
   int calls = 0;
   auto compute = [&calls] {
     ++calls;
@@ -188,7 +188,7 @@ TEST(EstimationCacheTest, TinyCapacityEvictsLeastRecentlyUsed) {
 TEST(EstimationCacheTest, EvictedEntriesRecomputeCorrectValues) {
   // Hammer a capacity-1 cache across threads: every lookup must still
   // return the key's correct value no matter how eviction interleaves.
-  EstimationCache cache(nullptr, nullptr, nullptr, /*capacity=*/1);
+  EstimationCache cache(/*capacity=*/1);
   constexpr std::size_t kLookups = 128;
   run_indexed(kLookups, /*threads=*/8, [&](std::size_t i) {
     const int width = static_cast<int>(i % 5);

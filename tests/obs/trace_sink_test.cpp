@@ -8,8 +8,10 @@
 #include <string>
 #include <thread>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
+#include "util/json.hpp"
 
 namespace ifsyn::obs {
 namespace {
@@ -70,6 +72,56 @@ TEST(TraceSinkTest, OwnOutputPassesValidation) {
   EXPECT_TRUE(validate_trace_json(empty.to_json(), &error)) << error;
 }
 
+// Regression: the trace sink, event log and metrics snapshot used to
+// escape only '"', '\\' and '\n', so a tab, CR or other control byte in a
+// name (a serve request id, say) produced JSON that strict readers reject
+// while this validator's own lenient parser accepted it.
+TEST(TraceSinkTest, ControlCharactersInNamesStayValidJson) {
+  const std::string odd = "a\tb\rc\x01" "d";
+
+  TraceSink sink;
+  sink.set_thread_name("worker " + odd);
+  sink.duration_event("span " + odd, "cat" + odd, 0, 5);
+  RequestContext request;
+  request.trace_id = "t" + odd;
+  sink.instant_event("instant", "serve", &request);
+  const std::string trace = sink.to_json();
+  std::string error;
+  EXPECT_TRUE(validate_trace_json(trace, &error)) << error;
+  Result<Json> parsed = parse_json(trace);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+  const JsonArray& events = parsed->find("traceEvents")->as_array();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].find("args")->find("name")->as_string(),
+            "worker " + odd);
+  EXPECT_EQ(events[1].find("name")->as_string(), "span " + odd);
+  EXPECT_EQ(events[2].find("args")->find("trace_id")->as_string(),
+            "t" + odd);
+
+  EventLog log;
+  log.log_at(1, Severity::kWarn, "serve" + odd, "message " + odd,
+             {{"key" + odd, "value " + odd}});
+  std::string line = log.to_jsonl();
+  ASSERT_FALSE(line.empty());
+  line.pop_back();  // the JSONL newline
+  parsed = parse_json(line);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+  EXPECT_EQ(parsed->find("component")->as_string(), "serve" + odd);
+  EXPECT_EQ(parsed->find("fields")->find("key" + odd)->as_string(),
+            "value " + odd);
+
+  MetricsRegistry registry;
+  registry.counter("requests" + odd).add(3);
+  registry.counter("wall" + odd, Determinism::kWallClock).add(1);
+  for (const std::string& json :
+       {registry.snapshot().to_json(),
+        registry.snapshot().deterministic_json()}) {
+    parsed = parse_json(json);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status() << "\n" << json;
+  }
+  EXPECT_EQ(parsed->find("requests" + odd)->as_number(), 3);
+}
+
 TEST(TraceSinkTest, ValidatorRejectsMalformedDocuments) {
   std::string error;
 
@@ -102,6 +154,14 @@ TEST(TraceSinkTest, ValidatorRejectsMalformedDocuments) {
       "\"pid\": 1, \"tid\": 0}]}",
       &error));
   EXPECT_NE(error.find("args"), std::string::npos);
+
+  // A raw control character inside a string: strict JSON (and
+  // scripts/validate_trace_json.py) rejects it, so this validator does too.
+  EXPECT_FALSE(validate_trace_json(
+      "{\"traceEvents\": [{\"name\": \"a\tb\", \"ph\": \"i\", "
+      "\"ts\": 1, \"pid\": 1, \"tid\": 0}]}",
+      &error));
+  EXPECT_NE(error.find("control character"), std::string::npos) << error;
 
   // Non-metadata event without a timestamp.
   EXPECT_FALSE(validate_trace_json(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace ifsyn::serve {
 namespace {
@@ -30,6 +31,33 @@ TEST(JsonTest, ParsesStringEscapes) {
   Result<Json> json = parse_json(R"("a\"b\\c\ndA")");
   ASSERT_TRUE(json.is_ok());
   EXPECT_EQ(json->as_string(), "a\"b\\c\ndA");
+}
+
+TEST(JsonTest, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(parse_json(R"("caf\u00e9")")->as_string(), "caf\xc3\xa9");
+  EXPECT_EQ(parse_json(R"("\u20ac")")->as_string(), "\xe2\x82\xac");
+  // A surrogate pair is one astral code point: 4-byte UTF-8.
+  Result<Json> rocket = parse_json(R"("\ud83d\ude80")");
+  ASSERT_TRUE(rocket.is_ok()) << rocket.status();
+  EXPECT_EQ(rocket->as_string(), "\xf0\x9f\x9a\x80");
+}
+
+TEST(JsonTest, RejectsLoneAndMalformedSurrogates) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("\udc00")", "lone low surrogate"},
+      {R"("\ud83d")", "high surrogate"},
+      {R"("\ud83d oops")", "high surrogate"},
+      {R"("\ud83d\u0041")", "high surrogate"},
+      {R"("\u12G4")", "non-hex digit"},
+      {R"("\u00)", "truncated"},
+      {R"("\q")", "unknown escape"},
+  };
+  for (const auto& [bad, why] : cases) {
+    Result<Json> json = parse_json(bad);
+    ASSERT_FALSE(json.is_ok()) << "accepted: " << bad;
+    EXPECT_NE(json.status().message().find(why), std::string::npos)
+        << json.status().message();
+  }
 }
 
 TEST(JsonTest, DumpRoundTripsAndIsDeterministic) {
@@ -81,6 +109,13 @@ TEST(JsonTest, QuoteEscapesControlCharacters) {
   EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
   EXPECT_EQ(json_quote("a\nb"), "\"a\\nb\"");
   EXPECT_EQ(json_quote(std::string("a\x01") + "b"), "\"a\\u0001b\"");
+  EXPECT_EQ(json_quote("a\tb\rc"), "\"a\\tb\\rc\"");
+  // Every byte below 0x20 round-trips through the parser.
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  Result<Json> parsed = parse_json(json_quote(all));
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+  EXPECT_EQ(parsed->as_string(), all);
 }
 
 }  // namespace

@@ -405,6 +405,35 @@ TEST(ServiceTest, TracingOnOrOffNeverChangesAReportByte) {
   EXPECT_NE(snap.find("serve.worker.0.inflight_age_us"), nullptr);
 }
 
+// Regression: request ids flow into span names, so an id with a tab or CR
+// used to make the service-wide trace invalid JSON (strict readers such
+// as scripts/validate_trace_json.py reject raw control characters).
+TEST(ServiceTest, RequestIdWithControlCharactersKeepsTheTraceValid) {
+  obs::TraceSink trace;
+  obs::EventLog event_log;
+  ServiceOptions options;
+  options.workers = 1;
+  options.trace = &trace;
+  options.event_log = &event_log;
+  Service service(options);
+  service.start();
+  const std::string id = "tab\there\rcr";
+  Response response = service.submit(check_request(id, "builtin:fig3")).get();
+  service.stop();
+  EXPECT_TRUE(response.ok) << response.error.message;
+  EXPECT_EQ(response.id, id);
+
+  const std::string json = trace.to_json();
+  std::string error;
+  EXPECT_TRUE(obs::validate_trace_json(json, &error)) << error;
+  ASSERT_TRUE(parse_json(json).is_ok());
+  EXPECT_NE(json.find("tab\\there\\rcr"), std::string::npos);
+  std::istringstream lines(event_log.to_jsonl());
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(parse_json(line).is_ok()) << line;
+  }
+}
+
 TEST(ServiceTest, PerRequestTraceFileTakesPrecedenceOverServiceSink) {
   obs::TraceSink trace;
   ServiceOptions options;

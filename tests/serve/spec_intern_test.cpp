@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace ifsyn::serve {
 namespace {
@@ -34,6 +36,42 @@ TEST(SpecInternTest, InternsSourceOncePerContent) {
   EXPECT_EQ(a->hash, b->hash);
   EXPECT_EQ(a->system.get(), b->system.get());  // shared, not re-parsed
   EXPECT_EQ(interner.size(), 1u);
+}
+
+TEST(SpecInternTest, RacingInternsParseOnce) {
+  obs::MetricsRegistry registry;
+  obs::Counter& hits = registry.counter("h");
+  obs::Counter& misses = registry.counter("m");
+  SpecInterner interner(/*capacity=*/0, &hits, &misses);
+  constexpr int kThreads = 8;
+  std::vector<Result<InternedSpec>> results(kThreads,
+                                            invalid_argument("unset"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back(
+        [&, i] { results[i] = interner.intern_source(kMinimalSpec); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(misses.value(), 1u);
+  EXPECT_EQ(hits.value(), static_cast<std::uint64_t>(kThreads - 1));
+  for (const Result<InternedSpec>& result : results) {
+    ASSERT_TRUE(result.is_ok()) << result.status();
+    EXPECT_EQ(result->system.get(), results[0]->system.get());
+  }
+}
+
+TEST(SpecInternTest, ParseErrorsAreCachedByContent) {
+  obs::MetricsRegistry registry;
+  obs::Counter& hits = registry.counter("h");
+  obs::Counter& misses = registry.counter("m");
+  SpecInterner interner(/*capacity=*/0, &hits, &misses);
+  const char* broken = "system broken;\nprocess P {";
+  Result<InternedSpec> first = interner.intern_source(broken);
+  Result<InternedSpec> second = interner.intern_source(broken);
+  ASSERT_FALSE(first.is_ok());
+  EXPECT_EQ(first.status(), second.status());
+  EXPECT_EQ(misses.value(), 1u);
+  EXPECT_EQ(hits.value(), 1u);
 }
 
 TEST(SpecInternTest, FileTargetHashesContentAndPrefixesErrors) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "sim/interpreter.hpp"
@@ -49,11 +50,11 @@ TEST(ProgramCacheTest, CompilesOncePerKey) {
   int compiles = 0;
   auto compile = [&] {
     ++compiles;
-    return CompiledSystem{};
+    return std::make_shared<const CompiledSystem>();
   };
-  auto first = cache.get_or_compile("k", compile);
+  auto first = cache.get_or_compute("k", compile);
   bool was_hit = false;
-  auto second = cache.get_or_compile("k", compile, &was_hit);
+  auto second = cache.get_or_compute("k", compile, &was_hit);
   EXPECT_EQ(compiles, 1);
   EXPECT_TRUE(was_hit);
   EXPECT_EQ(first.get(), second.get());  // shared artifact
@@ -66,13 +67,13 @@ TEST(ProgramCacheTest, CapacityOneEvictsTheColderKey) {
   int compiles = 0;
   auto compile = [&] {
     ++compiles;
-    return CompiledSystem{};
+    return std::make_shared<const CompiledSystem>();
   };
-  cache.get_or_compile("a", compile);
-  cache.get_or_compile("b", compile);  // evicts a
+  cache.get_or_compute("a", compile);
+  cache.get_or_compute("b", compile);  // evicts a
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
-  cache.get_or_compile("a", compile);  // recompiles
+  cache.get_or_compute("a", compile);  // recompiles
   EXPECT_EQ(compiles, 3);
 }
 

@@ -8,7 +8,9 @@
 //   ifsyn_tool serve [options]                   JSONL requests on stdin
 //
 // <spec> is a .ifs file (src/spec/parser.hpp) or builtin:flc|am|ethernet|
-// fig3. Without arguments the tool lists every flag (kFlags below).
+// fig3; a relative path, here or in a batch manifest, resolves against the
+// working directory. Without arguments the tool lists every flag (kFlags
+// below).
 //
 // The one-shot subcommands are a batch of one: their flags become one
 // serve::Request (src/serve/request.hpp) that an in-process
@@ -17,9 +19,10 @@
 // `check X` with "conform": true. The tool prints the response's report
 // and writes the requested files from its artifacts; synth's --report
 // appends the measured bus traffic of one traced run of the refined
-// system, which --vcd shares. Exit 0 when the response is ok, 1 when not,
-// 2 on a usage error or an option serve rejects. batch and serve drain
-// requests through the worker pool, responses in request order.
+// system, which --vcd shares. Exit 0 when the response is ok (for conform:
+// every lane mined and none disagreeing), 1 when not, 2 on a usage error
+// or an option serve rejects. batch and serve drain requests through the
+// worker pool, responses in request order.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -157,7 +160,9 @@ int usage() {
     }
     out += line + "\n";
   }
-  out += "\n<spec> is a .ifs file or builtin:flc|am|ethernet|fig3.\n\n";
+  out += "\n<spec> is a .ifs file or builtin:flc|am|ethernet|fig3. Relative\n"
+         "paths, including a batch manifest's \"spec\" paths, resolve against\n"
+         "the working directory, not the manifest's directory.\n\n";
   for (const Flag& flag : kFlags) {
     std::string left = std::string("--") + flag.name;
     if (flag.value) left = left + " " + flag.value;

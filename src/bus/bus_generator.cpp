@@ -19,14 +19,12 @@ BusGenerator::BusGenerator(const spec::System& system,
     : system_(system), estimator_(estimator) {}
 
 std::pair<int, int> BusGenerator::width_range(
-    const spec::BusGroup& bus, const BusGenOptions& options) const {
+    const spec::BusGroup& bus) const {
   int largest_message = 1;
   for (const spec::Channel* ch : system_.channels_of_bus(bus)) {
     largest_message = std::max(largest_message, ch->message_bits());
   }
-  const int lo = options.min_width > 0 ? options.min_width : 1;
-  const int hi = options.max_width > 0 ? options.max_width : largest_message;
-  return {lo, hi};
+  return {1, largest_message};
 }
 
 WidthEvaluation BusGenerator::evaluate_width(
@@ -64,10 +62,7 @@ Result<BusGenResult> BusGenerator::generate(const spec::BusGroup& bus,
     result.total_channel_bits += ch->message_bits();
   }
 
-  const auto [lo, hi] = width_range(bus, options);
-  if (lo > hi) {
-    return invalid_argument("empty width range for bus " + bus.name);
-  }
+  const auto [lo, hi] = width_range(bus);
 
   // Track the winner by index: the evaluations vector reallocates as it
   // grows, so a pointer/reference into it would dangle.
@@ -132,7 +127,7 @@ Result<std::vector<std::vector<std::string>>> BusGenerator::split_group(
     trial.channel_names = names;
     BusGenOptions no_constraints = options;
     no_constraints.constraints.clear();
-    const auto [lo, hi] = width_range(trial, no_constraints);
+    const auto [lo, hi] = width_range(trial);
     for (int width = lo; width <= hi; ++width) {
       if (evaluate_width(trial, width, no_constraints).feasible) return true;
     }

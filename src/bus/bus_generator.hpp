@@ -35,9 +35,6 @@ struct BusGenOptions {
   /// Eq. 1/Eq. 2 are evaluated against the wrong timing.
   int fixed_delay_cycles = 2;
   std::vector<BusConstraint> constraints;
-  /// Width search range override; 0 = the paper's defaults (step 1).
-  int min_width = 0;
-  int max_width = 0;
 };
 
 /// Everything computed for one candidate width (steps 2-4); kept so
@@ -73,7 +70,7 @@ class BusGenerator {
                const estimate::PerformanceEstimator& estimator);
 
   /// Run steps 1-5 for one channel group. kInfeasible when no width in
-  /// range satisfies Eq. 1; kInvalidArgument for empty groups.
+  /// [1, largest message] satisfies Eq. 1; kInvalidArgument for empty groups.
   Result<BusGenResult> generate(const spec::BusGroup& bus,
                                 const BusGenOptions& options) const;
 
@@ -89,9 +86,8 @@ class BusGenerator {
   Result<std::vector<std::vector<std::string>>> split_group(
       const spec::BusGroup& bus, const BusGenOptions& options) const;
 
-  /// Step 1: the width search range for a group.
-  std::pair<int, int> width_range(const spec::BusGroup& bus,
-                                  const BusGenOptions& options) const;
+  /// Step 1: the width search range for a group, [1, largest message].
+  std::pair<int, int> width_range(const spec::BusGroup& bus) const;
 
  private:
   const spec::System& system_;

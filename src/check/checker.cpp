@@ -56,6 +56,10 @@ std::string CheckReport::to_string() const {
 
 namespace {
 
+/// Budget for one FSM composition: states for an interleaved
+/// (handshake) composition, steps for a timed (strobe) run.
+constexpr long long kFsmBudget = 1 << 20;
+
 struct Checker {
   const System& system;
   const CheckOptions& options;
@@ -314,9 +318,8 @@ struct Checker {
                            bus.protocol == ProtocolKind::kHardwiredPort;
     const ComposeOutcome outcome =
         handshake
-            ? compose_interleaved(req.events, srv.events,
-                                  options.max_fsm_states)
-            : compose_timed(req.events, srv.events, options.max_fsm_steps);
+            ? compose_interleaved(req.events, srv.events, kFsmBudget)
+            : compose_timed(req.events, srv.events, kFsmBudget);
     count("check.fsm_compositions");
     count("check.fsm_states_explored",
           static_cast<std::uint64_t>(outcome.states_explored));
@@ -404,14 +407,10 @@ struct Checker {
         channels.push_back(ch);
       }
 
-      if (options.structural) {
-        check_ids(*bus, channels);
-        check_signal_shape(*bus, channels);
-      }
-      if (options.protocol_fsm) {
-        for (const Channel* ch : channels) check_channel_fsm(*bus, *ch);
-      }
-      if (options.rate_feasibility) check_rates(*bus, channels);
+      check_ids(*bus, channels);
+      check_signal_shape(*bus, channels);
+      for (const Channel* ch : channels) check_channel_fsm(*bus, *ch);
+      check_rates(*bus, channels);
     }
 
     count("check.diagnostics",

@@ -80,20 +80,13 @@ struct CheckReport {
 };
 
 struct CheckOptions {
-  bool structural = true;
-  bool protocol_fsm = true;
-  bool rate_feasibility = true;
-  /// Budget for one interleaved composition (handshake protocols).
-  long long max_fsm_states = 1 << 20;
-  /// Budget for one timed run (strobe protocols).
-  long long max_fsm_steps = 1 << 20;
   /// Calibration overrides forwarded to the rate re-check, so a system
   /// synthesized with pinned compute cycles is re-checked under the same
   /// model it was sized with.
   std::map<std::string, long long> compute_cycles_override;
 };
 
-/// Run every enabled pass over the refined buses of `system` (groups that
+/// Run every pass over the refined buses of `system` (groups that
 /// protocol generation has not touched yet are skipped). Exports
 /// "check.*" counters through `obs` when a metrics registry is attached.
 CheckReport run_checks(const spec::System& system,

@@ -8,12 +8,17 @@ namespace ifsyn::codegen {
 
 using namespace spec;
 
-VhdlEmitter::VhdlEmitter(VhdlOptions options) : options_(std::move(options)) {}
+namespace {
+
+/// Record type name for shared buses (Fig. 4's "HandShakeBus").
+constexpr const char* kBusTypeName = "HandShakeBus";
+constexpr const char* kClockConstant = "CLOCK_PERIOD";
+constexpr std::size_t kIndentWidth = 2;
+
+}  // namespace
 
 std::string VhdlEmitter::pad(int indent) const {
-  return std::string(static_cast<std::size_t>(indent) *
-                         static_cast<std::size_t>(options_.indent_width),
-                     ' ');
+  return std::string(static_cast<std::size_t>(indent) * kIndentWidth, ' ');
 }
 
 std::string VhdlEmitter::emit_type(const Type& type) const {
@@ -110,7 +115,7 @@ std::string VhdlEmitter::emit_stmt(const Stmt& stmt, int indent) const {
     os << ";\n";
   } else if (const auto* s = stmt.as<WaitFor>()) {
     os << in << "wait for " << emit_expr(*s->cycles) << " * "
-       << options_.clock_constant << ";\n";
+       << kClockConstant << ";\n";
   } else if (const auto* s = stmt.as<IfStmt>()) {
     os << in << "if " << emit_expr(*s->cond) << " then\n"
        << emit_block(s->then_body, indent + 1);
@@ -174,7 +179,7 @@ std::string VhdlEmitter::emit_bus_declarations(const System& system) const {
     }
     // Fig. 4: type HandShakeBus is record ... end record;
     const std::string type_name =
-        system.signals().size() == 1 ? options_.bus_type_name
+        system.signals().size() == 1 ? std::string(kBusTypeName)
                                      : sig->name + "_t";
     os << "type " << type_name << " is record\n";
     for (const auto& f : sig->fields) {
@@ -234,7 +239,7 @@ std::string VhdlEmitter::emit_system(const System& system) const {
   os << "entity " << system.name() << "_sys is\nend " << system.name()
      << "_sys;\n\n";
   os << "architecture refined of " << system.name() << "_sys is\n\n";
-  os << "constant " << options_.clock_constant << " : time := 10 ns;\n\n";
+  os << "constant " << kClockConstant << " : time := 10 ns;\n\n";
   os << emit_bus_declarations(system);
 
   for (const auto& v : system.variables()) {

@@ -9,9 +9,10 @@
 // listings (record fields START/DONE/ID/DATA, `wait until (B.START = '1')
 // and (B.ID = "00")`, `txdata(8*J-1 downto 8*(J-1))`), not compilation by
 // a specific VHDL tool: clocked timing is expressed as
-// `wait for N * CLOCK_PERIOD`, and the BusLock arbitration extension --
-// which plain VHDL'87 has no primitive for -- is emitted as a commented
-// protected region.
+// `wait for N * CLOCK_PERIOD` (a 10 ns constant), a lone shared bus's
+// record type is Fig. 4's `HandShakeBus`, and the BusLock arbitration
+// extension -- which plain VHDL'87 has no primitive for -- is emitted as
+// a commented protected region.
 #pragma once
 
 #include <string>
@@ -20,17 +21,8 @@
 
 namespace ifsyn::codegen {
 
-struct VhdlOptions {
-  /// Record type name for shared buses (Fig. 4's "HandShakeBus").
-  std::string bus_type_name = "HandShakeBus";
-  std::string clock_constant = "CLOCK_PERIOD";
-  int indent_width = 2;
-};
-
 class VhdlEmitter {
  public:
-  explicit VhdlEmitter(VhdlOptions options = {});
-
   /// The record type + signal declarations for every signal in the
   /// system (top of Fig. 4).
   std::string emit_bus_declarations(const spec::System& system) const;
@@ -53,8 +45,6 @@ class VhdlEmitter {
 
  private:
   std::string pad(int indent) const;
-
-  VhdlOptions options_;
 };
 
 }  // namespace ifsyn::codegen

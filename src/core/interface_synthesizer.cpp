@@ -82,7 +82,6 @@ Result<SynthesisReport> InterfaceSynthesizer::run(spec::System& system) const {
     Result<bus::BusGenResult> result = generator.generate(*group, options);
     if (!result.is_ok()) {
       if (result.status().code() != StatusCode::kInfeasible ||
-          !options_.auto_split_infeasible ||
           group->channel_names.size() <= 1) {
         return result.status();
       }

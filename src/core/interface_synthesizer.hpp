@@ -26,9 +26,6 @@ struct SynthesisOptions {
   spec::ProtocolKind protocol = spec::ProtocolKind::kFullHandshake;
   int fixed_delay_cycles = 2;
   bool arbitrate = false;
-  /// When a group is infeasible, split it into several buses (the paper's
-  /// Sec. 3 escape hatch) instead of failing.
-  bool auto_split_infeasible = true;
   /// Calibration: pin compute cycles for named processes.
   std::map<std::string, long long> compute_cycles_override;
   /// Run the static protocol checker (src/check) over the refined system
@@ -57,7 +54,9 @@ struct SynthesisReport {
   /// Data pins after merging (sum of selected widths).
   int merged_data_pins = 0;
   double interconnect_reduction = 0;
-  /// Names of buses created by infeasibility splitting (if any).
+  /// Names of buses created by splitting infeasible groups (if any):
+  /// a multi-channel group no width can serve is always split, the
+  /// paper's Sec. 3 escape hatch.
   std::vector<std::string> split_buses;
 };
 

@@ -103,8 +103,7 @@ std::vector<GroupingPlan> make_grouping_plans(const spec::System& system,
   return plans;
 }
 
-bool Eq1LowerBoundPruner::should_skip(const DesignSpace& space,
-                                      const DesignPoint& point) const {
+bool eq1_prunes(const DesignSpace& space, const DesignPoint& point) {
   const GroupingPlan& plan = space.groupings()[point.grouping];
   const double rate = estimate::bus_rate(point.width, point.protocol,
                                          point.fixed_delay_cycles);

@@ -13,15 +13,14 @@
 // and still merge results deterministically (point index = enumeration
 // order, always).
 //
-// Pruning is pluggable: a PruningPolicy may skip points that provably
-// cannot be feasible. The default Eq1LowerBoundPruner uses the paper's
-// Eq. 1 arithmetic: a channel's average rate AveRate(C, w) = bits / T(w)
-// is smallest at w = 1 (T is largest there), so any width whose bus rate
-// is below the sum of those lower bounds is dominated — it can never
-// satisfy Eq. 1 — and is skipped without a full evaluation.
+// Pruning (eq1_prunes) skips points that provably cannot be feasible,
+// using the paper's Eq. 1 arithmetic: a channel's average rate
+// AveRate(C, w) = bits / T(w) is smallest at w = 1 (T is largest there),
+// so any width whose bus rate is below the sum of those lower bounds is
+// dominated — it can never satisfy Eq. 1 — and is skipped without a full
+// evaluation.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,28 +75,6 @@ struct DesignSpaceOptions {
   bool alternative_groupings = false;
 };
 
-class DesignSpace;
-
-/// Decides, before full evaluation, that a point cannot win. Must be pure
-/// (same answer for the same point regardless of evaluation order or
-/// thread count) — the Explorer's determinism guarantee depends on it.
-class PruningPolicy {
- public:
-  virtual ~PruningPolicy() = default;
-  virtual const char* name() const = 0;
-  virtual bool should_skip(const DesignSpace& space,
-                           const DesignPoint& point) const = 0;
-};
-
-/// The default policy described in the file comment: skip widths whose
-/// bus rate undercuts the Eq. 1 demand lower bound of some group.
-class Eq1LowerBoundPruner : public PruningPolicy {
- public:
-  const char* name() const override { return "eq1-lower-bound"; }
-  bool should_skip(const DesignSpace& space,
-                   const DesignPoint& point) const override;
-};
-
 class DesignSpace {
  public:
   /// `system` must outlive the space; channel access counts must already
@@ -132,5 +109,12 @@ class DesignSpace {
   DesignSpaceOptions options_;
   std::vector<GroupingPlan> groupings_;
 };
+
+/// True when `point` cannot win, decided before full evaluation (see the
+/// file comment): its bus rate undercuts the Eq. 1 demand lower bound of
+/// some group. Pure -- the same answer for the same point regardless of
+/// evaluation order or thread count, which the Explorer's determinism
+/// guarantee depends on.
+bool eq1_prunes(const DesignSpace& space, const DesignPoint& point);
 
 }  // namespace ifsyn::explore

@@ -91,9 +91,6 @@ Result<ExplorationResult> Explorer::run() const {
   }
 
   const std::vector<DesignPoint> points = space.enumerate();
-  const std::shared_ptr<const PruningPolicy> pruning =
-      options_.pruning ? options_.pruning
-                       : std::make_shared<Eq1LowerBoundPruner>();
 
   const bus::BusGenerator generator(base, estimator);
 
@@ -137,7 +134,7 @@ Result<ExplorationResult> Explorer::run() const {
     result.point = point;
     result.grouping_name = plan.name;
 
-    if (pruning->should_skip(space, point)) {
+    if (eq1_prunes(space, point)) {
       result.pruned = true;
       out.points[i] = std::move(result);
       return;

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,9 +50,6 @@ struct ExploreOptions {
   std::map<std::string, long long> max_execution_clocks;
   /// Calibration, as in core::SynthesisOptions.
   std::map<std::string, long long> compute_cycles_override;
-  /// Pruning policy; null = Eq1LowerBoundPruner. Share one instance to
-  /// explore with a custom policy.
-  std::shared_ptr<const PruningPolicy> pruning;
   /// Optional process-wide estimation store shared across runs (the serve
   /// front end's cross-request cache). The explorer still keeps its
   /// per-run cache — whose hit/miss counts stay deterministic and feed

@@ -24,6 +24,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Shared-store bounds (entries); each store evicts its least recently
+/// used entry beyond its bound.
+constexpr std::size_t kSpecCacheCapacity = 64;
+constexpr std::size_t kEstimationCacheCapacity = 4096;
+constexpr std::size_t kProgramCacheCapacity = 128;
+
 std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
@@ -74,21 +80,21 @@ core::SynthesisOptions synthesis_options(const RequestOptions& ro,
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
-      interner_(options_.spec_cache_capacity,
+      interner_(kSpecCacheCapacity,
                 &registry_.counter("serve.spec_cache.hits",
                                    obs::Determinism::kWallClock),
                 &registry_.counter("serve.spec_cache.misses",
                                    obs::Determinism::kWallClock),
                 &registry_.counter("serve.spec_cache.evictions",
                                    obs::Determinism::kWallClock)),
-      estimation_cache_(options_.estimation_cache_capacity,
+      estimation_cache_(kEstimationCacheCapacity,
                         &registry_.counter("serve.estimation_cache.hits",
                                            obs::Determinism::kWallClock),
                         &registry_.counter("serve.estimation_cache.misses",
                                            obs::Determinism::kWallClock),
                         &registry_.counter("serve.estimation_cache.evictions",
                                            obs::Determinism::kWallClock)),
-      program_cache_(options_.program_cache_capacity,
+      program_cache_(kProgramCacheCapacity,
                      &registry_.counter("serve.program_cache.hits",
                                         obs::Determinism::kWallClock),
                      &registry_.counter("serve.program_cache.misses",
@@ -733,19 +739,28 @@ Response Service::execute_check(const Request& request,
     std::ostringstream os;
     std::string detail = mined.to_string();
     if (!detail.empty()) os << detail << "\n";
-    os << "conform " << (mined.clean() ? "clean" : "FAILED") << ": "
-       << mined.lanes_mined << " lane(s), " << mined.transactions_mined
-       << " transaction(s), " << mined.edges_checked << " edge(s), "
+    // A skipped lane was never checked, so it never counts as clean.
+    const bool complete = mined.skipped.empty();
+    os << "conform "
+       << (!mined.clean() ? "FAILED" : complete ? "clean" : "INCOMPLETE")
+       << ": " << mined.lanes_mined << " lane(s), "
+       << mined.transactions_mined << " transaction(s), "
+       << mined.edges_checked << " edge(s), "
        << mined.disagreements.size() << " disagreement(s), "
        << mined.skipped.size() << " skipped\n";
     response.report += os.str();
-    if (mined.clean()) {
+    if (mined.clean() && complete) {
       c_conform_clean_.add(1);
     } else if (response.ok) {
       response.ok = false;
-      response.error = {"conform_failed",
-                        std::to_string(mined.disagreements.size()) +
-                            " trace/static disagreement(s); see report"};
+      response.error =
+          mined.clean()
+              ? ErrorInfo{"conform_incomplete",
+                          std::to_string(mined.skipped.size()) +
+                              " lane(s) skipped; see report"}
+              : ErrorInfo{"conform_failed",
+                          std::to_string(mined.disagreements.size()) +
+                              " trace/static disagreement(s); see report"};
     }
   }
   return response;

@@ -18,12 +18,13 @@
 // Three shared stores, each an obs::MemoCache (compute-once, LRU-
 // bounded, counter-instrumented in the service registry):
 //
-//   - SpecInterner        parse outcomes (system or error) by content hash
+//   - SpecInterner        parse outcomes (system or error) by content
+//                         hash; 64 entries
 //   - EstimationCache     per-group Eq. 1 estimates, scope-qualified by
-//                         spec hash + calibration fingerprint
+//                         spec hash + calibration fingerprint; 4096
 //   - sim ProgramCache    compiled bytecode, installed process-wide so
 //                         every simulation (cosim legs, validation runs)
-//                         reuses compiled artifacts across requests
+//                         reuses compiled artifacts across requests; 128
 //
 // Determinism contract: a request's `report` and `spec_hash` are
 // byte-identical whether the request runs alone, concurrently with
@@ -107,10 +108,6 @@ struct ServiceOptions {
   /// Bounded request queue; submissions beyond this are rejected with a
   /// structured admission_rejected error (never blocked).
   std::size_t queue_capacity = 64;
-  /// Shared-store bounds (entries; 0 = unbounded).
-  std::size_t spec_cache_capacity = 64;
-  std::size_t estimation_cache_capacity = 4096;
-  std::size_t program_cache_capacity = 128;
   /// Default per-request deadline (ms); 0 = no deadline. A request's own
   /// deadline_ms overrides.
   std::uint64_t default_deadline_ms = 0;

@@ -66,7 +66,11 @@ Result<InternedSpec> SpecInterner::intern_target(const std::string& target) {
   }
 
   std::ifstream in(target, std::ios::binary);
-  if (!in) return not_found("cannot read spec file " + target);
+  if (!in) {
+    return not_found("cannot read spec file " + target +
+                     " (relative paths resolve against the working "
+                     "directory)");
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   Result<InternedSpec> interned = intern_source(buffer.str());

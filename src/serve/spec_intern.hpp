@@ -63,7 +63,8 @@ class SpecInterner {
                         obs::Counter* evictions = nullptr)
       : cache_(capacity, hits, misses, evictions) {}
 
-  /// Resolve a request target: "builtin:<name>" or a spec file path.
+  /// Resolve a request target: "builtin:<name>" or a spec file path. A
+  /// relative path resolves against the process's working directory.
   Result<InternedSpec> intern_target(const std::string& target);
 
   /// Intern inline spec source text.

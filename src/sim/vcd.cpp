@@ -30,12 +30,12 @@ void emit_value(std::ostringstream& os, const BitVector& value,
 
 }  // namespace
 
-std::string trace_to_vcd(const Kernel& kernel, const VcdOptions& options) {
+std::string trace_to_vcd(const Kernel& kernel) {
   std::ostringstream os;
   os << "$date ifsyn simulation $end\n";
   os << "$version ifsyn protocol-generation trace $end\n";
-  os << "$timescale " << options.timescale << " $end\n";
-  os << "$scope module " << options.scope << " $end\n";
+  os << "$timescale 1ns $end\n";
+  os << "$scope module ifsyn $end\n";
 
   const std::vector<FieldKey>& keys = kernel.signal_keys();
   std::map<FieldKey, std::string> ids;
@@ -76,11 +76,10 @@ std::string trace_to_vcd(const Kernel& kernel, const VcdOptions& options) {
   return os.str();
 }
 
-Status write_vcd(const Kernel& kernel, const std::string& path,
-                 const VcdOptions& options) {
+Status write_vcd(const Kernel& kernel, const std::string& path) {
   std::ofstream out(path);
   if (!out) return invalid_argument("cannot write VCD file: " + path);
-  out << trace_to_vcd(kernel, options);
+  out << trace_to_vcd(kernel);
   if (!out.good()) return invalid_argument("error writing VCD file: " + path);
   return Status::ok();
 }

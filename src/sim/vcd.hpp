@@ -18,20 +18,14 @@
 
 namespace ifsyn::sim {
 
-struct VcdOptions {
-  /// Timescale text emitted in the header; one kernel cycle = one unit.
-  std::string timescale = "1ns";
-  /// Module name wrapping all signals in the VCD hierarchy.
-  std::string scope = "ifsyn";
-};
-
 /// Render a recorded trace (Kernel::trace(), requires enable_trace(true)
-/// before the run) as VCD text. `initial_values` supplies time-0 values
-/// for signals that never change (pass the kernel post-run for lookups).
-std::string trace_to_vcd(const Kernel& kernel, const VcdOptions& options = {});
+/// before the run) as VCD text; time-0 values are the kernel's declared
+/// initial values (pass the kernel post-run). The timescale is 1ns (one
+/// kernel cycle = one unit) and every signal sits in one module scope
+/// named "ifsyn".
+std::string trace_to_vcd(const Kernel& kernel);
 
 /// Write the VCD straight to a file.
-Status write_vcd(const Kernel& kernel, const std::string& path,
-                 const VcdOptions& options = {});
+Status write_vcd(const Kernel& kernel, const std::string& path);
 
 }  // namespace ifsyn::sim

@@ -1,9 +1,7 @@
 #include "spec/parser.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "spec/analysis.hpp"
 #include "util/assert.hpp"
@@ -168,8 +166,7 @@ struct PendingBus {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, const ParseOptions& options)
-      : tokens_(std::move(tokens)), options_(options) {}
+  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<System> run() {
     Result<System> result = parse_spec();
@@ -274,8 +271,7 @@ class Parser {
 
     // Channels come from the module assignment; buses then group them.
     if (!system.modules().empty()) {
-      Status status = derive_channels(system, options_.channel_prefix,
-                                      options_.channel_number_base);
+      Status status = derive_channels(system);
       if (!status.is_ok()) return status;
     }
     for (const PendingBus& pending : pending_buses_) {
@@ -861,7 +857,6 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
-  ParseOptions options_;
   std::set<std::string> signal_names_;
   std::vector<PendingBus> pending_buses_;
   Status error_;
@@ -869,29 +864,12 @@ class Parser {
 
 }  // namespace
 
-Result<System> parse_system(std::string_view source,
-                            const ParseOptions& options) {
+Result<System> parse_system(std::string_view source) {
   Lexer lexer(source);
   Result<std::vector<Token>> tokens = lexer.run();
   if (!tokens.is_ok()) return tokens.status();
-  Parser parser(std::move(tokens).value(), options);
+  Parser parser(std::move(tokens).value());
   return parser.run();
-}
-
-Result<System> parse_system_file(const std::string& path,
-                                 const ParseOptions& options) {
-  std::ifstream in(path);
-  if (!in) return not_found("cannot open spec file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<System> parsed = parse_system(buffer.str(), options);
-  if (!parsed.is_ok()) {
-    // Errors carry line:column; prefix the file so multi-spec drivers
-    // (batch manifests, CI sweeps) yield actionable diagnostics.
-    return Status(parsed.status().code(),
-                  path + ": " + parsed.status().message());
-  }
-  return parsed;
 }
 
 }  // namespace ifsyn::spec

@@ -43,7 +43,6 @@
 // System the C++ builders produce.
 #pragma once
 
-#include <string>
 #include <string_view>
 
 #include "spec/system.hpp"
@@ -51,19 +50,9 @@
 
 namespace ifsyn::spec {
 
-struct ParseOptions {
-  /// Channel naming for derivation (see partition::PartitionOptions).
-  std::string channel_prefix = "CH";
-  int channel_number_base = 0;
-};
-
-/// Parse a complete system specification. Errors carry line/column
-/// positions in the message.
-Result<System> parse_system(std::string_view source,
-                            const ParseOptions& options = {});
-
-/// Parse a file on disk.
-Result<System> parse_system_file(const std::string& path,
-                                 const ParseOptions& options = {});
+/// Parse a complete system specification. Derived channels are named
+/// CH0, CH1, ... (Fig. 3). Errors carry line/column positions in the
+/// message.
+Result<System> parse_system(std::string_view source);
 
 }  // namespace ifsyn::spec

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "partition/partitioner.hpp"
 #include "spec/analysis.hpp"
 #include "suite/flc.hpp"
 
@@ -33,21 +34,49 @@ struct FlcFixture {
   const spec::BusGroup& bus() { return *system.find_bus("B"); }
 };
 
+/// Two processes, each streaming 64 words into its own remote array with
+/// no computation in between (compute cycles pinned to 0). Each channel
+/// then saturates exactly half a full-handshake bus at every width, so
+/// the pair exceeds Eq. 1 at every width in [1, largest message] while
+/// each channel alone fits.
+struct SaturatedFixture {
+  spec::System system{"saturated"};
+  estimate::PerformanceEstimator estimator{system};
+  BusGenerator generator{system, estimator};
+
+  SaturatedFixture() {
+    using namespace spec;
+    std::vector<partition::ModuleAssignment> assignment{
+        partition::ModuleAssignment{"CHIP_P", {}, {}},
+        partition::ModuleAssignment{"CHIP_M", {}, {}},
+    };
+    for (int p = 0; p < 2; ++p) {
+      const std::string id = std::to_string(p);
+      system.add_variable(
+          Variable("M" + id, Type::array(Type::bits(16), 64)));
+      Process proc;
+      proc.name = "P" + id;
+      proc.body = Block{for_stmt(
+          "i", lit(0), lit(63),
+          Block{assign(lv_idx("M" + id, var("i")), var("i"))})};
+      system.add_process(std::move(proc));
+      assignment[0].processes.push_back("P" + id);
+      assignment[1].variables.push_back("M" + id);
+      estimator.set_compute_cycles("P" + id, 0);
+    }
+    EXPECT_TRUE(partition::apply_partition(system, assignment).is_ok());
+    EXPECT_TRUE(partition::group_all_channels(system, "SAT").is_ok());
+    EXPECT_TRUE(spec::annotate_channel_accesses(system).is_ok());
+  }
+
+  const spec::BusGroup& bus() { return *system.find_bus("SAT"); }
+};
+
 TEST(BusGeneratorTest, WidthRangeIsOneToLargestMessage) {
   FlcFixture f;
-  auto [lo, hi] = f.generator.width_range(f.bus(), {});
+  auto [lo, hi] = f.generator.width_range(f.bus());
   EXPECT_EQ(lo, 1);
   EXPECT_EQ(hi, FlcCalibration::kMessageBits);  // 23
-}
-
-TEST(BusGeneratorTest, WidthRangeOverride) {
-  FlcFixture f;
-  BusGenOptions options;
-  options.min_width = 4;
-  options.max_width = 16;
-  auto [lo, hi] = f.generator.width_range(f.bus(), options);
-  EXPECT_EQ(lo, 4);
-  EXPECT_EQ(hi, 16);
 }
 
 TEST(BusGeneratorTest, EvaluateWidthComputesEq1Sides) {
@@ -163,45 +192,31 @@ TEST(BusGeneratorTest, MissingAccessCountsIsFailedPrecondition) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(BusGeneratorTest, OverConstrainedRangeIsInfeasible) {
-  FlcFixture f;
-  BusGenOptions options;
-  options.max_width = 2;  // Eq. 1 cannot hold at widths 1-2
-  Result<BusGenResult> result = f.generator.generate(f.bus(), options);
+TEST(BusGeneratorTest, SaturatedGroupIsInfeasible) {
+  SaturatedFixture f;
+  Result<BusGenResult> result = f.generator.generate(f.bus(), {});
   EXPECT_EQ(result.status().code(), StatusCode::kInfeasible);
 }
 
-TEST(BusGeneratorTest, SplitGroupSeparatesHotChannels) {
-  // Force infeasibility by capping the width, then split: each FLC
-  // channel alone is feasible at width <= 2?  No -- use the real driver:
-  // an infeasible group must split into singletons that are feasible at
-  // their full width range.
+TEST(BusGeneratorTest, SplitGroupKeepsFeasibleGroupTogether) {
+  // Both FLC channels fit on one bus at some width in the full range, so
+  // the greedy packer keeps them together.
   FlcFixture f;
-  BusGenOptions options;
-  options.max_width = 4;  // group infeasible at <=4 (Eq. 1 fails)
-  Result<BusGenResult> whole = f.generator.generate(f.bus(), options);
-  ASSERT_EQ(whole.status().code(), StatusCode::kInfeasible);
-
-  // Splitting with the full range available: two singleton buses.
   auto split = f.generator.split_group(f.bus(), BusGenOptions{});
   ASSERT_TRUE(split.is_ok()) << split.status();
-  // Both channels fit on one bus at full range, so the greedy packer
-  // keeps them together.
   ASSERT_EQ(split->size(), 1u);
   EXPECT_EQ((*split)[0].size(), 2u);
 }
 
-TEST(BusGeneratorTest, SplitGroupRespectsRestrictedRange) {
-  // At widths <= 8 the two channels together violate Eq. 1 (their demand
-  // of ~4.2 bits/clock exceeds the 4 bits/clock bus rate), but each alone
-  // fits comfortably -- so the splitter must produce two buses.
-  FlcFixture f;
-  BusGenOptions options;
-  options.max_width = 8;
-  for (int w = 1; w <= 8; ++w) {
-    EXPECT_FALSE(f.generator.evaluate_width(f.bus(), w, options).feasible);
+TEST(BusGeneratorTest, SplitGroupSeparatesSaturatingChannels) {
+  // Together the two channels violate Eq. 1 at every width, but each
+  // alone fits -- so the splitter must produce two buses.
+  SaturatedFixture f;
+  const auto [lo, hi] = f.generator.width_range(f.bus());
+  for (int w = lo; w <= hi; ++w) {
+    EXPECT_FALSE(f.generator.evaluate_width(f.bus(), w, {}).feasible) << w;
   }
-  auto split = f.generator.split_group(f.bus(), options);
+  auto split = f.generator.split_group(f.bus(), BusGenOptions{});
   ASSERT_TRUE(split.is_ok()) << split.status();
   ASSERT_EQ(split->size(), 2u);
   EXPECT_EQ((*split)[0].size(), 1u);

@@ -162,10 +162,6 @@ TEST(VhdlEmitterTest, WaitForUsesClockConstant) {
   VhdlEmitter emitter;
   EXPECT_EQ(emitter.emit_stmt(*wait_for(2), 0),
             "wait for 2 * CLOCK_PERIOD;\n");
-  VhdlOptions options;
-  options.clock_constant = "T_CLK";
-  VhdlEmitter custom(options);
-  EXPECT_EQ(custom.emit_stmt(*wait_for(2), 0), "wait for 2 * T_CLK;\n");
 }
 
 TEST(VhdlEmitterTest, BusLockEmitsComment) {

@@ -113,9 +113,7 @@ TEST(SynthesizerTest, PinnedWidthStillCountsDataPins) {
 
 TEST(SynthesizerTest, FeasibleGroupDoesNotSplit) {
   System system = suite::make_flc_kernel();
-  SynthesisOptions options = flc_options();
-  options.auto_split_infeasible = true;
-  InterfaceSynthesizer synth(options);
+  InterfaceSynthesizer synth(flc_options());
   Result<SynthesisReport> report = synth.run(system);
   ASSERT_TRUE(report.is_ok());
   EXPECT_TRUE(report->split_buses.empty());
@@ -158,7 +156,6 @@ TEST(SynthesizerTest, InfeasibleGroupSplitsIntoReportedBuses) {
   System refined = original.clone("saturated_refined");
 
   SynthesisOptions options;
-  options.auto_split_infeasible = true;
   options.arbitrate = true;
   for (int p = 0; p < 4; ++p) {
     options.compute_cycles_override["P" + std::to_string(p)] = 0;
@@ -184,17 +181,6 @@ TEST(SynthesizerTest, InfeasibleGroupSplitsIntoReportedBuses) {
   ASSERT_TRUE(eq.is_ok()) << eq.status();
   EXPECT_TRUE(eq->equivalent)
       << (eq->mismatches.empty() ? "" : eq->mismatches[0]);
-}
-
-TEST(SynthesizerTest, InfeasibleGroupFailsWhenSplittingDisabled) {
-  System system = make_saturating_system();
-  SynthesisOptions options;
-  options.auto_split_infeasible = false;
-  for (int p = 0; p < 4; ++p) {
-    options.compute_cycles_override["P" + std::to_string(p)] = 0;
-  }
-  InterfaceSynthesizer synth(options);
-  EXPECT_EQ(synth.run(system).status().code(), StatusCode::kInfeasible);
 }
 
 TEST(SynthesizerTest, HardwiredBaselineCountsDedicatedPins) {

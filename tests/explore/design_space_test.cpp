@@ -96,13 +96,12 @@ TEST(DesignSpaceTest, Eq1PrunerOnlySkipsTrulyInfeasibleWidths) {
   ASSERT_TRUE(space.validate().is_ok());
 
   // Soundness: every pruned width must also fail the full Eq. 1 check.
-  Eq1LowerBoundPruner pruner;
   bus::BusGenerator generator(flc.system, *flc.estimator);
   const spec::BusGroup* group = flc.system.find_bus("B");
   ASSERT_NE(group, nullptr);
   int pruned = 0;
   for (const DesignPoint& point : space.enumerate()) {
-    if (!pruner.should_skip(space, point)) continue;
+    if (!eq1_prunes(space, point)) continue;
     ++pruned;
     bus::BusGenOptions gen_options;
     gen_options.protocol = point.protocol;

@@ -66,8 +66,6 @@ TEST(FixedDelayRegression, DelayFlipsWidthFeasibility) {
 
   bus::BusGenOptions options;
   options.protocol = ProtocolKind::kFixedDelay;
-  options.min_width = 8;
-  options.max_width = 8;
 
   options.fixed_delay_cycles = 2;
   bus::WidthEvaluation fast = generator.evaluate_width(bus, 8, options);
@@ -75,16 +73,20 @@ TEST(FixedDelayRegression, DelayFlipsWidthFeasibility) {
   EXPECT_TRUE(fast.feasible);
   Result<bus::BusGenResult> fast_gen = generator.generate(bus, options);
   ASSERT_TRUE(fast_gen.is_ok()) << fast_gen.status();
-  EXPECT_EQ(fast_gen->selected_width, 8);
+  EXPECT_TRUE(fast_gen->evaluation_for(8)->feasible);
+  EXPECT_EQ(fast_gen->selected_width, 5);
 
+  // The slower delay flips width 8 and moves the narrowest feasible
+  // width (the generator's pick) from 5 to 6.
   options.fixed_delay_cycles = 4;
   bus::WidthEvaluation slow = generator.evaluate_width(bus, 8, options);
   EXPECT_DOUBLE_EQ(slow.bus_rate, 2.0);
   EXPECT_GT(slow.sum_average_rates, slow.bus_rate);
   EXPECT_FALSE(slow.feasible);
   Result<bus::BusGenResult> slow_gen = generator.generate(bus, options);
-  ASSERT_FALSE(slow_gen.is_ok());
-  EXPECT_EQ(slow_gen.status().code(), StatusCode::kInfeasible);
+  ASSERT_TRUE(slow_gen.is_ok()) << slow_gen.status();
+  EXPECT_FALSE(slow_gen->evaluation_for(8)->feasible);
+  EXPECT_EQ(slow_gen->selected_width, 6);
 }
 
 TEST(FixedDelayRegression, ExplorerAgreesWithBusGenerator) {

@@ -24,6 +24,7 @@
 #include "core/equivalence.hpp"
 #include "partition/partitioner.hpp"
 #include "protocol/protocol_generator.hpp"
+#include "scoped_env.hpp"
 #include "sim/interpreter.hpp"
 #include "spec/system.hpp"
 
@@ -275,29 +276,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence,
 // value of every system variable. This is the primary correctness
 // harness for the VM's lowering pass and the superinstruction optimizer.
 
-/// Forces IFSYN_SIM_OPT for one run; restores the previous value (CI runs
-/// whole suites under =0, which must survive this test).
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 /// Run `system` on one engine with tracing enabled.
 sim::SimulationRun run_engine(const System& system, sim::Engine engine) {
   return sim::simulate(system, 10'000'000, /*trace=*/true, /*obs=*/{},
@@ -368,11 +346,11 @@ void expect_runs_identical(const System& system, std::uint64_t seed,
                            const char* label,
                            bool mine_conformance = false) {
   sim::SimulationRun vm_opt = [&] {
-    ScopedSimOpt opt("1");
+    ScopedEnv opt("IFSYN_SIM_OPT", "1");
     return run_engine(system, sim::Engine::kVm);
   }();
   sim::SimulationRun vm_ref = [&] {
-    ScopedSimOpt opt("0");
+    ScopedEnv opt("IFSYN_SIM_OPT", "0");
     return run_engine(system, sim::Engine::kVm);
   }();
   const sim::SimulationRun ast = run_engine(system, sim::Engine::kAst);

@@ -135,6 +135,17 @@ TEST(IfsynToolTest, OneShotSubcommandsAnswerExactlyLikeTheService) {
   }
 }
 
+// Without --arbitrate, fig3's two masters share the bus unserialized, so
+// the miner skips that lane: conform must not call the run clean.
+TEST(IfsynToolTest, ConformWithASkippedLaneExitsNonZero) {
+  const ToolRun run = run_tool({"conform", spec_file("fig3")});
+  EXPECT_EQ(run.exit_code, 1) << run.out << run.err;
+  EXPECT_NE(run.out.find("conform INCOMPLETE: 0 lane(s)"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.err.find("[conform_incomplete]"), std::string::npos)
+      << run.err;
+}
+
 TEST(IfsynToolTest, SynthAndExploreAcceptBuiltins) {
   const ToolRun synth = run_tool({"builtin:fig3"});
   EXPECT_EQ(synth.exit_code, 0) << synth.err;

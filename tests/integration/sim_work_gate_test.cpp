@@ -9,37 +9,16 @@
 // condition evaluations and 6,371,023 executed ops on this point.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "explore/explorer.hpp"
 #include "obs/metrics.hpp"
+#include "scoped_env.hpp"
 #include "spec/system.hpp"
 #include "suite/flc.hpp"
 
 namespace ifsyn {
 namespace {
-
-/// Pins IFSYN_SIM_ENGINE to the bytecode VM for one scope: the
-/// sim.vm.* counters exist only there.
-class ScopedVmEngine {
- public:
-  ScopedVmEngine() {
-    if (const char* old = std::getenv("IFSYN_SIM_ENGINE")) saved_ = old;
-    setenv("IFSYN_SIM_ENGINE", "vm", 1);
-  }
-  ~ScopedVmEngine() {
-    if (saved_) {
-      setenv("IFSYN_SIM_ENGINE", saved_->c_str(), 1);
-    } else {
-      unsetenv("IFSYN_SIM_ENGINE");
-    }
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
 
 std::uint64_t counter(const obs::MetricsSnapshot& snap,
                       const std::string& name) {
@@ -49,7 +28,8 @@ std::uint64_t counter(const obs::MetricsSnapshot& snap,
 }
 
 TEST(SimWorkGate, FlcFirstValidatedPointCounts) {
-  const ScopedVmEngine engine;
+  // The sim.vm.* counters exist only on the bytecode VM.
+  const ScopedEnv engine("IFSYN_SIM_ENGINE", "vm");
   const spec::System system = suite::make_flc_full();
 
   // The FLC sweep's options, validating only its first point.

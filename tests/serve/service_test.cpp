@@ -27,6 +27,7 @@
 #include "explore/report.hpp"
 #include "obs/log.hpp"
 #include "obs/trace_sink.hpp"
+#include "scoped_env.hpp"
 #include "serve/json.hpp"
 #include "sim/interpreter.hpp"
 
@@ -161,6 +162,61 @@ TEST(ServiceTest, ConformFlagMinesTheTraceOnTheCheckPath) {
   EXPECT_NE(snapshot.report.find("ifsyn_check_conform_requests_total 2"),
             std::string::npos)
       << snapshot.report;
+}
+
+// A lane the miner skips was never checked, so it never counts as clean:
+// the request fails as conform_incomplete and the clean counter stays put.
+TEST(ServiceTest, ConformWithASkippedLaneIsIncompleteNotClean) {
+  Service service;
+  Request request = check_request("c", "builtin:fig3");
+  request.options.conform = true;
+  request.options.arbitrate = false;  // P and Q share the bus unserialized
+  const Response response = service.execute(request);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error.code, "conform_incomplete");
+  EXPECT_NE(response.report.find("check clean"), std::string::npos);
+  EXPECT_NE(response.report.find("conform INCOMPLETE: 0 lane(s)"),
+            std::string::npos)
+      << response.report;
+  EXPECT_NE(response.report.find("1 skipped"), std::string::npos);
+
+  Request stats;
+  stats.id = "s";
+  stats.op = RequestOp::kStats;
+  const Response stats_response = service.execute(stats);
+  ASSERT_TRUE(stats_response.ok);
+  EXPECT_NE(stats_response.report.find("\"conform_requests\":1"),
+            std::string::npos)
+      << stats_response.report;
+  EXPECT_NE(stats_response.report.find("\"conform_clean\":0"),
+            std::string::npos);
+}
+
+// A relative spec path resolves against the working directory (a batch
+// manifest's own directory is not consulted), and the not_found message
+// says so.
+TEST(ServiceTest, RelativeSpecPathsResolveAgainstTheWorkingDirectory) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "service_test_rel";
+  fs::create_directories(dir);
+  const fs::path spec = dir / "tiny.ifs";
+  std::ofstream(spec) << "system tiny;\n";
+
+  Service service;
+  Request found = check_request("f", fs::relative(spec).string());
+  ASSERT_TRUE(fs::path(found.target).is_relative()) << found.target;
+  const Response ok = service.execute(found);
+  EXPECT_NE(ok.error.code, "not_found") << ok.error.message;
+  EXPECT_FALSE(ok.spec_hash.empty());
+
+  const Response missing =
+      service.execute(check_request("m", "no/such/dir/tiny.ifs"));
+  EXPECT_EQ(missing.error.code, "not_found");
+  EXPECT_NE(missing.error.message.find(
+                "relative paths resolve against the working directory"),
+            std::string::npos)
+      << missing.error.message;
+  fs::remove_all(dir);
 }
 
 TEST(ServiceTest, ReportsAreByteIdenticalAloneConcurrentlyAndWarm) {
@@ -513,13 +569,12 @@ TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
   // appears: /stats JSON (by name) and the prometheus text
   // (serve.sim_engine gauge: 0=vm, 1=ast).
   for (const char* engine : {"vm", "ast"}) {
-    ::setenv("IFSYN_SIM_ENGINE", engine, 1);
+    const ScopedEnv engine_env("IFSYN_SIM_ENGINE", engine);
     Service service;
     Request stats;
     stats.id = "s";
     stats.op = RequestOp::kStats;
     Response response = service.execute(stats);
-    ::unsetenv("IFSYN_SIM_ENGINE");
     ASSERT_TRUE(response.ok) << response.error.message;
     Result<Json> parsed = parse_json(response.report);
     ASSERT_TRUE(parsed.is_ok()) << response.report;
@@ -534,9 +589,7 @@ TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
     Request metrics;
     metrics.id = "m";
     metrics.op = RequestOp::kMetrics;
-    ::setenv("IFSYN_SIM_ENGINE", engine, 1);
     Response text = service.execute(metrics);
-    ::unsetenv("IFSYN_SIM_ENGINE");
     ASSERT_TRUE(text.ok) << text.error.message;
     const std::string needle =
         std::string("serve_sim_engine ") +

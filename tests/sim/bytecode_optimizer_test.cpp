@@ -8,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
 #include "protocol/protocol_generator.hpp"
+#include "scoped_env.hpp"
 #include "sim/bytecode/compiler.hpp"
 #include "sim/bytecode/matchers.hpp"
 #include "sim/bytecode/vm.hpp"
@@ -38,29 +38,6 @@ int count_op(const CompiledSystem& cs, Op op) {
   for (const ProcProgram& p : cs.processes) n += count_op(p, op);
   return n;
 }
-
-/// Forces IFSYN_SIM_OPT for one scope; restores the previous value (CI
-/// runs whole suites under =0, which must survive these tests).
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      ::setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 // ---- matcher --------------------------------------------------------------
 
@@ -140,12 +117,11 @@ TEST(PatternTest, LiteralCellsAndOpcodeAlternatives) {
 // ---- env selection --------------------------------------------------------
 
 TEST(OptimizerEnvTest, EnvVariablePicksLevel) {
-  ScopedSimOpt restore_after("1");  // snapshots + restores the prior state
-  ::unsetenv("IFSYN_SIM_OPT");
+  ScopedEnv opt("IFSYN_SIM_OPT", nullptr);
   EXPECT_EQ(opt_level_from_env(), OptLevel::kFull) << "default is optimized";
-  ::setenv("IFSYN_SIM_OPT", "0", 1);
+  opt.set("0");
   EXPECT_EQ(opt_level_from_env(), OptLevel::kNone);
-  ::setenv("IFSYN_SIM_OPT", "1", 1);
+  opt.set("1");
   EXPECT_EQ(opt_level_from_env(), OptLevel::kFull);
 }
 
@@ -329,7 +305,7 @@ System refine(const System& s, ProtocolKind kind, int bus_width) {
 /// signal reference to a lazy kTrap instead). Returns a copy of the
 /// artifact compiled at the given IFSYN_SIM_OPT setting.
 CompiledSystem compile_via_setup(const System& system, const char* opt) {
-  ScopedSimOpt scoped(opt);
+  ScopedEnv scoped("IFSYN_SIM_OPT", opt);
   Kernel kernel;
   Interpreter interp(system, kernel, Engine::kVm);
   const Status status = interp.setup();
@@ -367,13 +343,13 @@ TEST(OptimizerTest, ExecutedOpsAndResultsIdenticalAcrossLevels) {
 
   obs::MetricsRegistry ref_metrics;
   SimulationRun ref = [&] {
-    ScopedSimOpt off("0");
+    ScopedEnv off("IFSYN_SIM_OPT", "0");
     return simulate(refined, 10'000'000, false,
                     obs::ObsContext{&ref_metrics, nullptr}, Engine::kVm);
   }();
   obs::MetricsRegistry opt_metrics;
   SimulationRun opt = [&] {
-    ScopedSimOpt on("1");
+    ScopedEnv on("IFSYN_SIM_OPT", "1");
     return simulate(refined, 10'000'000, false,
                     obs::ObsContext{&opt_metrics, nullptr}, Engine::kVm);
   }();

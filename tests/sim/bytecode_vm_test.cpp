@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "scoped_env.hpp"
 #include "sim/bytecode/compiler.hpp"
 #include "sim/interpreter.hpp"
 #include "spec/system.hpp"
@@ -38,13 +38,12 @@ SimulationRun run_body(std::vector<Variable> vars, Block body,
 // ---- engine selection ------------------------------------------------------
 
 TEST(EngineSelectionTest, EnvVariablePicksEngine) {
-  ::unsetenv("IFSYN_SIM_ENGINE");
+  ScopedEnv engine("IFSYN_SIM_ENGINE", nullptr);
   EXPECT_EQ(engine_from_env(), Engine::kVm);
-  ::setenv("IFSYN_SIM_ENGINE", "ast", 1);
+  engine.set("ast");
   EXPECT_EQ(engine_from_env(), Engine::kAst);
-  ::setenv("IFSYN_SIM_ENGINE", "vm", 1);
+  engine.set("vm");
   EXPECT_EQ(engine_from_env(), Engine::kVm);
-  ::unsetenv("IFSYN_SIM_ENGINE");
 }
 
 TEST(EngineSelectionTest, InterpreterReportsItsEngine) {
@@ -53,29 +52,6 @@ TEST(EngineSelectionTest, InterpreterReportsItsEngine) {
   EXPECT_EQ(Interpreter(system, k1, Engine::kVm).engine(), Engine::kVm);
   EXPECT_EQ(Interpreter(system, k2, Engine::kAst).engine(), Engine::kAst);
 }
-
-/// Scoped setenv/unsetenv; restores the previous value on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 // "native" named an engine that no longer exists; a stale setting must
 // run the VM and say so, exactly like any other unknown spelling.

@@ -8,13 +8,13 @@
 // and receive paths.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
 #include "protocol/protocol_generator.hpp"
+#include "scoped_env.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/vcd.hpp"
 #include "spec/system.hpp"
@@ -23,28 +23,6 @@ namespace ifsyn {
 namespace {
 
 using namespace spec;
-
-/// Forces IFSYN_SIM_OPT for one run; restores the previous value.
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 /// One process streaming a 16 x 24-bit array out and back over a 5-bit
 /// bus: every element transfer is several DATA words in each direction.
@@ -98,7 +76,7 @@ TEST(TraceIdentityTest, TraceAndVcdAreByteIdenticalAcrossEnginesAndOpt) {
   std::vector<std::string> vcds;
   obs::MetricsRegistry opt_registry;  // watches the vm opt=1 leg
   for (const Leg& leg : legs) {
-    ScopedSimOpt opt(leg.opt);
+    ScopedEnv opt("IFSYN_SIM_OPT", leg.opt);
     obs::ObsContext obs;
     if (leg.engine == sim::Engine::kVm && leg.opt[0] == '1') {
       obs.metrics = &opt_registry;

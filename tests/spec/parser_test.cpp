@@ -13,8 +13,8 @@
 namespace ifsyn::spec {
 namespace {
 
-System parse_ok(std::string_view source, ParseOptions options = {}) {
-  Result<System> result = parse_system(source, options);
+System parse_ok(std::string_view source) {
+  Result<System> result = parse_system(source);
   EXPECT_TRUE(result.is_ok()) << result.status();
   return result.is_ok() ? std::move(result).value() : System("failed");
 }

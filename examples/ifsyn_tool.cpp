@@ -36,12 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "check/trace_miner.hpp"
 #include "codegen/vhdl_emitter.hpp"
 #include "core/report.hpp"
 #include "explore/report.hpp"
 #include "obs/log.hpp"
 #include "obs/trace_sink.hpp"
-#include "protocol/trace_analyzer.hpp"
 #include "serve/json.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
@@ -120,7 +120,7 @@ constexpr Flag kFlags[] = {
     {"emit-vhdl", "FILE", kSynth, kTool, nullptr, "write the refined VHDL"},
     {"vcd", "FILE", kSynth, kTool, nullptr, "write the refined waveform"},
     {"report", "FILE", kSynth | kConform | kExplore, kTool, nullptr,
-     "write the report (synth: plus bus traffic)"},
+     "write the report (synth: plus mined bus traffic)"},
     {"json", "FILE", kExplore, kTool, nullptr, "write the exploration JSON"},
     {"metrics", "FILE", kOneShot, kTool, nullptr, "write the metrics JSON"},
     {"chrome-trace", "FILE", kSynth | kExplore, kTool, nullptr,
@@ -292,8 +292,7 @@ bool write_outputs(const Invocation& inv, const serve::Request& request,
     }
     if (inv.settings.count("report") || !vcd_path.empty()) {
       // One traced run of the refined system feeds the waveform and the
-      // measured traffic (which the analyzer supports for full-handshake
-      // buses only).
+      // measured traffic, which the conformance miner reads off it.
       const sim::SimulationRun run = sim::simulate(
           refined, request.options.max_time.value_or(serve::kDefaultMaxTime),
           /*trace=*/true);
@@ -309,11 +308,10 @@ bool write_outputs(const Invocation& inv, const serve::Request& request,
                     run.kernel->trace().size(), vcd_path.c_str());
       }
       if (ran) {
-        Result<std::vector<protocol::BusTraffic>> traffic =
-            protocol::analyze_trace(refined, run.kernel->trace(),
-                                    run.result.end_time);
-        if (traffic.is_ok() && !traffic->empty()) {
-          report += core::render_traffic_markdown(*traffic);
+        const check::ConformanceReport mined =
+            check::mine_and_diff(refined, run.kernel->trace());
+        if (!mined.traffic.empty()) {
+          report += core::render_traffic_markdown(mined, run.result.end_time);
         }
       }
     }

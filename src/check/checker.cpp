@@ -6,7 +6,6 @@
 #include "check/protocol_fsm.hpp"
 #include "estimate/performance_estimator.hpp"
 #include "estimate/rate_model.hpp"
-#include "protocol/procedure_synthesis.hpp"
 #include "protocol/protocol_generator.hpp"
 #include "protocol/protocol_library.hpp"
 
@@ -56,10 +55,6 @@ std::string CheckReport::to_string() const {
 
 namespace {
 
-/// Budget for one FSM composition: states for an interleaved
-/// (handshake) composition, steps for a timed (strobe) run.
-constexpr long long kFsmBudget = 1 << 20;
-
 struct Checker {
   const System& system;
   const CheckOptions& options;
@@ -83,20 +78,6 @@ struct Checker {
 
   void count(const char* name, std::uint64_t n = 1) {
     if (obs.metrics) obs.metrics->counter(name).add(n);
-  }
-
-  /// A group is checkable once protocol generation has refined it: its
-  /// first channel's requester procedure exists. Width-only groups (bus
-  /// generation ran, protocol generation has not) are skipped, as are
-  /// groups still waiting for both.
-  bool refined(const BusGroup& bus) const {
-    for (const std::string& name : bus.channel_names) {
-      const Channel* ch = system.find_channel(name);
-      if (!ch) return false;
-      return system.find_procedure(protocol::requester_proc_name(*ch)) !=
-             nullptr;
-    }
-    return false;
   }
 
   // ---- structural invariants -----------------------------------------
@@ -222,30 +203,11 @@ struct Checker {
 
   // ---- protocol FSM checks -------------------------------------------
 
-  /// Expected word counts of one side of the channel's transaction.
-  struct WordShape {
-    long long drives = 0;
-    long long samples = 0;
-  };
-
-  WordShape requester_shape(const Channel& ch, int width) const {
-    WordShape s;
-    if (ch.is_read()) {
-      // Request phase: address words, or one dummy word for scalars.
-      s.drives = ch.addr_bits > 0
-                     ? estimate::words_per_message(ch.addr_bits, width)
-                     : 1;
-      s.samples = estimate::words_per_message(ch.data_bits, width);
-    } else {
-      s.drives = estimate::words_per_message(ch.message_bits(), width);
-    }
-    return s;
-  }
-
   void check_word_counts(const Channel& ch, const std::string& subject,
                          int width, const ExtractResult& req,
                          const ExtractResult& srv) {
-    const WordShape want = requester_shape(ch, width);
+    const estimate::TransactionWords want =
+        estimate::transaction_words(ch, width);
     if (req.data_drives != want.drives || req.data_samples != want.samples) {
       error("fsm.word_count", subject,
             "requester moves " + std::to_string(req.data_drives) + "+" +
@@ -266,11 +228,10 @@ struct Checker {
     }
   }
 
-  void check_hold_cycles(const BusGroup& bus, const std::string& subject,
+  void check_hold_cycles(const protocol::WireContext& wires,
+                         const std::string& subject,
                          const ExtractResult& side, const char* role) {
-    const long long h = bus.protocol == ProtocolKind::kFixedDelay
-                            ? bus.fixed_delay_cycles
-                            : 1;
+    const long long h = wires.hold_cycles();
     for (const FsmEvent& ev : side.events) {
       if (ev.kind != EventKind::kDelay) continue;
       if (ev.cycles == h || ev.cycles == 2 * h) continue;
@@ -284,42 +245,31 @@ struct Checker {
 
   void check_channel_fsm(const BusGroup& bus, const Channel& ch) {
     const std::string subject = bus.name + "/" + ch.name;
-    const Procedure* req_proc =
-        system.find_procedure(protocol::requester_proc_name(ch));
-    const Procedure* srv_proc =
-        system.find_procedure(protocol::serve_proc_name(ch));
-    if (!req_proc || !srv_proc) {
+    const ChannelFsm fsm = extract_channel(system, bus, ch);
+    if (!fsm.requester || !fsm.server) {
       error("structural.missing_procedure", subject,
-            std::string(!req_proc ? "requester" : "server") +
+            std::string(!fsm.requester ? "requester" : "server") +
                 " procedure was not generated");
       return;
     }
-
-    const protocol::WireContext wires =
-        protocol::ProtocolGenerator::wire_context(bus, ch);
-    const ExtractResult req = extract_events(req_proc->body, wires.bus);
-    const ExtractResult srv = extract_events(srv_proc->body, wires.bus);
-    if (!req.supported || !srv.supported) {
-      warning("fsm.unsupported", subject,
-              "cannot abstract " +
-                  (!req.supported ? req_proc->name : srv_proc->name) +
-                  ": " +
-                  (!req.supported ? req.why_unsupported
-                                  : srv.why_unsupported));
+    if (!fsm.supported()) {
+      warning("fsm.unsupported", subject, fsm.why_unsupported());
       return;
     }
     count("check.channels_checked");
 
-    check_word_counts(ch, subject, wires.width, req, srv);
-    check_hold_cycles(bus, subject, req, req_proc->name.c_str());
-    check_hold_cycles(bus, subject, srv, srv_proc->name.c_str());
+    const ExtractResult& req = fsm.req;
+    const ExtractResult& srv = fsm.srv;
+    check_word_counts(ch, subject, fsm.wires.width, req, srv);
+    check_hold_cycles(fsm.wires, subject, req, fsm.requester->name.c_str());
+    check_hold_cycles(fsm.wires, subject, srv, fsm.server->name.c_str());
 
     const bool handshake = bus.protocol == ProtocolKind::kFullHandshake ||
                            bus.protocol == ProtocolKind::kHardwiredPort;
     const ComposeOutcome outcome =
         handshake
-            ? compose_interleaved(req.events, srv.events, kFsmBudget)
-            : compose_timed(req.events, srv.events, kFsmBudget);
+            ? compose_interleaved(req.events, srv.events)
+            : compose_timed(req.events, srv.events);
     count("check.fsm_compositions");
     count("check.fsm_states_explored",
           static_cast<std::uint64_t>(outcome.states_explored));
@@ -328,7 +278,7 @@ struct Checker {
       error("fsm.deadlock", subject,
             std::string(handshake ? "a reachable interleaving of "
                                   : "the timed composition of ") +
-                req_proc->name + " and " + srv_proc->name +
+                fsm.requester->name + " and " + fsm.server->name +
                 " deadlocks: " + outcome.detail);
       return;
     }
@@ -393,7 +343,7 @@ struct Checker {
 
   void run() {
     for (const auto& bus : system.buses()) {
-      if (!refined(*bus)) continue;
+      if (!is_refined(system, *bus)) continue;
       count("check.buses_checked");
 
       std::vector<const Channel*> channels;

@@ -6,6 +6,8 @@
 #include <set>
 #include <tuple>
 
+#include "protocol/procedure_synthesis.hpp"
+#include "protocol/protocol_generator.hpp"
 #include "spec/expr.hpp"
 
 namespace ifsyn::check {
@@ -13,6 +15,10 @@ namespace ifsyn::check {
 using namespace spec;
 
 namespace {
+
+/// Budget for one composition: states for an interleaved (handshake)
+/// composition, steps for a timed run.
+constexpr long long kFsmBudget = 1 << 20;
 
 /// Loop-variable environment for constant folding of the generated index
 /// arithmetic (word parities `J mod 2`, slice bounds).
@@ -210,23 +216,7 @@ struct Extractor {
   }
 };
 
-/// Shared wire state of a composition: named control/ID fields, default 0
-/// (the kernel initializes signals to zero).
-struct Wires {
-  std::vector<std::string> names;
-  std::vector<std::uint64_t> values;
-
-  std::size_t index(const std::string& name) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return i;
-    }
-    names.push_back(name);
-    values.push_back(0);
-    return names.size() - 1;
-  }
-};
-
-bool conds_hold(const FsmEvent& ev, Wires& wires) {
+bool conds_hold(const FsmEvent& ev, WireState& wires) {
   for (const WireCond& c : ev.conds) {
     if (wires.values[wires.index(c.field)] != c.value) return false;
   }
@@ -235,16 +225,14 @@ bool conds_hold(const FsmEvent& ev, Wires& wires) {
 
 /// Pre-register every field either side touches so wire indices are
 /// stable before state hashing begins.
-Wires make_wires(const std::vector<FsmEvent>& a,
-                 const std::vector<FsmEvent>& b) {
-  Wires w;
+void register_wires(const std::vector<FsmEvent>& a,
+                    const std::vector<FsmEvent>& b, WireState& w) {
   for (const auto* side : {&a, &b}) {
     for (const FsmEvent& ev : *side) {
       if (ev.kind == EventKind::kAssignWire) w.index(ev.field);
       for (const WireCond& c : ev.conds) w.index(c.field);
     }
   }
-  return w;
 }
 
 std::string describe_block(const std::vector<FsmEvent>& events, std::size_t pc,
@@ -259,7 +247,7 @@ std::string describe_block(const std::vector<FsmEvent>& events, std::size_t pc,
   return out;
 }
 
-void record_nonzero(const Wires& wires, ComposeOutcome& out) {
+void record_nonzero(const WireState& wires, ComposeOutcome& out) {
   for (std::size_t i = 0; i < wires.names.size(); ++i) {
     if (wires.values[i] == 0) continue;
     // ID lines legitimately hold the last transaction's channel id.
@@ -275,8 +263,6 @@ void record_nonzero(const Wires& wires, ComposeOutcome& out) {
   }
 }
 
-}  // namespace
-
 ExtractResult extract_events(const Block& body, const std::string& bus_signal) {
   ExtractResult out;
   Extractor ex{bus_signal, out};
@@ -285,11 +271,55 @@ ExtractResult extract_events(const Block& body, const std::string& bus_signal) {
   return out;
 }
 
+}  // namespace
+
+bool is_refined(const System& system, const BusGroup& bus) {
+  if (bus.channel_names.empty()) return false;
+  const Channel* ch = system.find_channel(bus.channel_names.front());
+  return ch && system.find_procedure(protocol::requester_proc_name(*ch));
+}
+
+std::string ChannelFsm::why_unsupported() const {
+  return "cannot abstract " +
+         (!req.supported ? requester->name + ": " + req.why_unsupported
+                         : server->name + ": " + srv.why_unsupported);
+}
+
+ChannelFsm extract_channel(const System& system, const BusGroup& bus,
+                           const Channel& channel) {
+  ChannelFsm fsm;
+  fsm.wires = protocol::ProtocolGenerator::wire_context(bus, channel);
+  fsm.requester =
+      system.find_procedure(protocol::requester_proc_name(channel));
+  fsm.server = system.find_procedure(protocol::serve_proc_name(channel));
+  if (fsm.requester && fsm.server) {
+    fsm.req = extract_events(fsm.requester->body, fsm.wires.bus);
+    fsm.srv = extract_events(fsm.server->body, fsm.wires.bus);
+  }
+  return fsm;
+}
+
+std::size_t WireState::index(const std::string& name) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return i;
+  }
+  names.push_back(name);
+  values.push_back(0);
+  return names.size() - 1;
+}
+
+std::uint64_t WireState::value(const std::string& name) const {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return values[i];
+  }
+  return 0;
+}
+
 ComposeOutcome compose_interleaved(const std::vector<FsmEvent>& a,
-                                   const std::vector<FsmEvent>& b,
-                                   long long max_states) {
+                                   const std::vector<FsmEvent>& b) {
   ComposeOutcome out;
-  Wires wires = make_wires(a, b);
+  WireState wires;
+  register_wires(a, b, wires);
   const std::size_t nw = wires.names.size();
 
   // A state is (pcA, pcB, wire values); wire values are folded into a
@@ -311,7 +341,7 @@ ComposeOutcome compose_interleaved(const std::vector<FsmEvent>& a,
     State s = std::move(stack.back());
     stack.pop_back();
     if (!visited.insert(s).second) continue;
-    if (static_cast<long long>(visited.size()) > max_states) {
+    if (static_cast<long long>(visited.size()) > kFsmBudget) {
       out.budget_exhausted = true;
       out.detail = "state budget exhausted";
       out.states_explored = static_cast<long long>(visited.size());
@@ -375,26 +405,34 @@ ComposeOutcome compose_interleaved(const std::vector<FsmEvent>& a,
 
 ComposeOutcome compose_timed(const std::vector<FsmEvent>& a,
                              const std::vector<FsmEvent>& b,
-                             long long max_steps) {
+                             WireState* carried,
+                             long long b_lag,
+                             std::vector<TimedEdge>* edges) {
   ComposeOutcome out;
-  Wires wires = make_wires(a, b);
+  WireState fresh;
+  WireState& wires = carried ? *carried : fresh;
+  register_wires(a, b, wires);
 
   struct Side {
     const std::vector<FsmEvent>* events;
     std::size_t pc = 0;
-    long long ready = 0;  ///< simulated time the side may run again
+    long long ready = 0;   ///< simulated time the side may run again
+    long long finish = 0;  ///< instant the side ran out of events
 
     bool done() const { return pc >= events->size(); }
   };
   Side sides[2] = {{&a}, {&b}};
+  sides[1].ready = b_lag;
+  sides[1].finish = b_lag;
 
   long long now = 0;
   long long steps = 0;
   while (!(sides[0].done() && sides[1].done())) {
     bool progressed = false;
     for (Side& side : sides) {
+      const bool was_done = side.done();
       while (!side.done() && side.ready <= now) {
-        if (++steps > max_steps) {
+        if (++steps > kFsmBudget) {
           out.budget_exhausted = true;
           out.detail = "step budget exhausted";
           out.states_explored = steps;
@@ -411,13 +449,22 @@ ComposeOutcome compose_timed(const std::vector<FsmEvent>& a,
           if (ev.cycles > 0) break;
           continue;
         } else if (ev.kind == EventKind::kAssignWire) {
-          wires.values[wires.index(ev.field)] = ev.value;
+          // The kernel traces changes only, so only a change is an edge.
+          std::uint64_t& value = wires.values[wires.index(ev.field)];
+          if (value != ev.value) {
+            value = ev.value;
+            if (edges) edges->push_back({now, ev.field, ev.value, false});
+          }
           ++side.pc;
-        } else {  // kDriveData / kSampleData
+        } else if (ev.kind == EventKind::kDriveData) {
+          if (edges) edges->push_back({now, "DATA", 0, true});
+          ++side.pc;
+        } else {  // kSampleData: no wire activity
           ++side.pc;
         }
         progressed = true;
       }
+      if (!was_done && side.done()) side.finish = std::max(now, side.ready);
     }
     if (progressed) continue;
 
@@ -439,6 +486,7 @@ ComposeOutcome compose_timed(const std::vector<FsmEvent>& a,
 
   out.completed = true;
   out.states_explored = steps;
+  out.b_finish = sides[1].finish;
   record_nonzero(wires, out);
   return out;
 }

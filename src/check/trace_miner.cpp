@@ -6,9 +6,8 @@
 #include <sstream>
 
 #include "check/protocol_fsm.hpp"
-#include "protocol/procedure_synthesis.hpp"
+#include "estimate/rate_model.hpp"
 #include "protocol/protocol_generator.hpp"
-#include "protocol/protocol_library.hpp"
 
 namespace ifsyn::check {
 
@@ -59,126 +58,6 @@ struct ObservedEdge {
   std::uint64_t uvalue = 0;
 };
 
-/// One edge the static automaton predicts, at a commit time relative to
-/// the transaction's first instant. DATA drives are optional: the kernel
-/// traces changes only, so a repeated word legitimately commits nothing.
-struct ExpectedEdge {
-  long long rel = 0;
-  std::string field;
-  std::uint64_t value = 0;
-  bool data = false;
-};
-
-using WireState = std::map<std::string, std::uint64_t>;
-
-std::uint64_t wire_value(const WireState& wires, const std::string& field) {
-  auto it = wires.find(field);
-  return it == wires.end() ? 0 : it->second;
-}
-
-bool conds_hold(const FsmEvent& ev, const WireState& wires) {
-  for (const WireCond& c : ev.conds) {
-    if (wire_value(wires, c.field) != c.value) return false;
-  }
-  return true;
-}
-
-/// Replay one transaction's requester/server event pair under the timed
-/// discipline of compose_timed (zero-time steps drain to quiescence,
-/// requester first, before time advances to the next pending delay --
-/// which is exactly how the kernel schedules the generated protocols),
-/// recording every wire *change* as an expected edge. `wires` carries
-/// the lane state across transactions (ID persists; control wires are
-/// back at 0 after a checker-clean transaction) and is mutated to the
-/// post-transaction state.
-///
-/// `server_lag` starts the server side that many cycles in: the server
-/// process may still be draining the previous transaction's epilogue
-/// (trailing hold cycles, falling-ack wait) when the next request hits
-/// the wires, and its first response shifts accordingly. On success
-/// `*server_done` is the relative time at which the server side ran dry
-/// -- the lag to carry into the next transaction on this server.
-bool replay_transaction(const std::vector<FsmEvent>& req,
-                        const std::vector<FsmEvent>& srv,
-                        long long server_lag, WireState& wires,
-                        std::vector<ExpectedEdge>& out,
-                        long long* server_done, std::string* why) {
-  struct Side {
-    const std::vector<FsmEvent>* events;
-    std::size_t pc = 0;
-    long long ready = 0;
-    long long finish = 0;  ///< instant the side ran out of events
-
-    bool done() const { return pc >= events->size(); }
-  };
-  Side sides[2] = {{&req}, {&srv}};
-  sides[1].ready = server_lag;
-  sides[1].finish = server_lag;
-
-  long long now = 0;
-  long long steps = 0;
-  const long long max_steps = 1 << 20;
-  while (!(sides[0].done() && sides[1].done())) {
-    bool progressed = false;
-    for (Side& side : sides) {
-      const bool was_done = side.done();
-      while (!side.done() && side.ready <= now) {
-        if (++steps > max_steps) {
-          *why = "replay step budget exhausted";
-          return false;
-        }
-        const FsmEvent& ev = (*side.events)[side.pc];
-        if (ev.kind == EventKind::kWaitWires) {
-          if (!conds_hold(ev, wires)) break;
-          ++side.pc;
-        } else if (ev.kind == EventKind::kDelay) {
-          side.ready = now + ev.cycles;
-          ++side.pc;
-          progressed = true;
-          if (ev.cycles > 0) break;
-          continue;
-        } else if (ev.kind == EventKind::kAssignWire) {
-          if (wire_value(wires, ev.field) != ev.value) {
-            wires[ev.field] = ev.value;
-            out.push_back(ExpectedEdge{now, ev.field, ev.value, false});
-          }
-          ++side.pc;
-        } else if (ev.kind == EventKind::kDriveData) {
-          out.push_back(ExpectedEdge{now, "DATA", 0, true});
-          ++side.pc;
-        } else {  // kSampleData: no wire activity
-          ++side.pc;
-        }
-        progressed = true;
-      }
-      if (!was_done && side.done()) {
-        side.finish = std::max(now, side.ready);
-      }
-    }
-    if (progressed) continue;
-
-    long long next = -1;
-    for (const Side& side : sides) {
-      if (side.done() || side.ready <= now) continue;
-      if (next < 0 || side.ready < next) next = side.ready;
-    }
-    if (next < 0) {
-      *why = "replay deadlocked (static composition should have caught this)";
-      return false;
-    }
-    now = next;
-  }
-  *server_done = sides[1].finish;
-  return true;
-}
-
-/// Statically extracted requester/server pair of one channel.
-struct ChannelFsm {
-  const Channel* channel = nullptr;
-  std::vector<FsmEvent> requester;
-  std::vector<FsmEvent> server;
-};
-
 struct Miner {
   const System& system;
   ConformanceReport& report;
@@ -190,50 +69,6 @@ struct Miner {
 
   void skip(const std::string& bus, std::string reason) {
     report.skipped.push_back(SkippedLane{bus, std::move(reason)});
-  }
-
-  bool refined(const BusGroup& bus) const {
-    for (const std::string& name : bus.channel_names) {
-      const Channel* ch = system.find_channel(name);
-      if (!ch) return false;
-      return system.find_procedure(protocol::requester_proc_name(*ch)) !=
-             nullptr;
-    }
-    return false;
-  }
-
-  /// Extract both sides of every lane channel; false (with a skip entry)
-  /// when any side is missing or outside the extractable subset.
-  bool extract_lane(const BusGroup& bus, const std::string& signal,
-                    const std::vector<const Channel*>& channels,
-                    std::vector<ChannelFsm>& out) {
-    for (const Channel* ch : channels) {
-      const Procedure* req_proc =
-          system.find_procedure(protocol::requester_proc_name(*ch));
-      const Procedure* srv_proc =
-          system.find_procedure(protocol::serve_proc_name(*ch));
-      if (!req_proc || !srv_proc) {
-        skip(bus.name, "channel " + ch->name +
-                           " lacks a generated requester/server pair");
-        return false;
-      }
-      ChannelFsm fsm;
-      fsm.channel = ch;
-      const ExtractResult req = extract_events(req_proc->body, signal);
-      const ExtractResult srv = extract_events(srv_proc->body, signal);
-      if (!req.supported || !srv.supported) {
-        skip(bus.name,
-             "cannot abstract " +
-                 (!req.supported ? req_proc->name : srv_proc->name) + ": " +
-                 (!req.supported ? req.why_unsupported
-                                 : srv.why_unsupported));
-        return false;
-      }
-      fsm.requester = req.events;
-      fsm.server = srv.events;
-      out.push_back(std::move(fsm));
-    }
-    return true;
   }
 
   void disagree(DisagreementKind kind, const BusGroup& bus,
@@ -257,7 +92,7 @@ struct Miner {
   /// recorded (mining of the lane must stop).
   bool match_transaction(const BusGroup& bus, const Channel& channel,
                          const std::string& signal,
-                         const std::vector<ExpectedEdge>& expected,
+                         const std::vector<TimedEdge>& expected,
                          const std::vector<ObservedEdge>& stream,
                          std::size_t& pos) {
     const std::uint64_t t0 = stream[pos].time;
@@ -268,7 +103,7 @@ struct Miner {
 
     std::size_t e = 0;
     while (e < expected.size()) {
-      const ExpectedEdge& exp = expected[e];
+      const TimedEdge& exp = expected[e];
       const std::uint64_t want_time =
           t0 + static_cast<std::uint64_t>(exp.rel);
 
@@ -391,11 +226,25 @@ struct Miner {
   }
 
   /// Mine one lane: a serialized sequence of transactions on `signal`.
+  /// `traffic` lists the lane's channels, in `channels` order.
   void mine_lane(const BusGroup& bus, const std::string& signal,
                  const std::vector<const Channel*>& channels,
+                 const std::vector<ChannelTraffic*>& traffic,
                  const std::vector<ObservedEdge>& stream) {
     std::vector<ChannelFsm> fsms;
-    if (!extract_lane(bus, signal, channels, fsms)) return;
+    for (const Channel* ch : channels) {
+      ChannelFsm fsm = extract_channel(system, bus, *ch);
+      if (!fsm.requester || !fsm.server) {
+        skip(bus.name, "channel " + ch->name +
+                           " lacks a generated requester/server pair");
+        return;
+      }
+      if (!fsm.supported()) {
+        skip(bus.name, fsm.why_unsupported());
+        return;
+      }
+      fsms.push_back(std::move(fsm));
+    }
     ++report.lanes_mined;
 
     WireState wires;  // kernel-initialized to zero
@@ -404,11 +253,12 @@ struct Miner {
     // per served variable; a request that lands while it is busy gets
     // its response shifted by the remainder.
     std::map<std::string, std::uint64_t> server_busy;
+    std::vector<TimedEdge> expected;
     std::size_t pos = 0;
     while (pos < stream.size()) {
       // Attribute the transaction: ID edges of its first instant apply
-      // before the carried value is read (trace_analyzer's idiom).
-      std::uint64_t effective_id = wire_value(wires, "ID");
+      // before the carried value is read, whatever their storage order.
+      std::uint64_t effective_id = wires.value("ID");
       for (std::size_t i = pos;
            i < stream.size() && stream[i].time == stream[pos].time; ++i) {
         if (stream[i].field == "ID") {
@@ -416,53 +266,62 @@ struct Miner {
           break;
         }
       }
-      const ChannelFsm* fsm = nullptr;
-      if (fsms.size() == 1) {
-        fsm = &fsms[0];
-      } else {
-        for (const ChannelFsm& f : fsms) {
-          if (static_cast<std::uint64_t>(f.channel->id) == effective_id) {
-            fsm = &f;
-            break;
-          }
+      std::size_t k = 0;
+      if (fsms.size() > 1) {
+        while (k < channels.size() &&
+               static_cast<std::uint64_t>(channels[k]->id) != effective_id) {
+          ++k;
         }
       }
-      if (!fsm) {
+      if (k == channels.size()) {
         disagree(DisagreementKind::kUnattributable, bus, nullptr,
                  stream[pos].time, stream[pos].delta, signal, "ID",
                  "traffic under ID=" + std::to_string(effective_id) +
                      " matches no channel of this bus");
         return;
       }
+      const Channel& channel = *channels[k];
+      const ChannelFsm& fsm = fsms[k];
 
       const std::uint64_t t0 = stream[pos].time;
-      const std::uint64_t busy = server_busy[fsm->channel->variable];
+      const std::uint64_t busy = server_busy[channel.variable];
       const long long server_lag =
           busy > t0 ? static_cast<long long>(busy - t0) : 0;
 
-      std::vector<ExpectedEdge> expected;
-      WireState replay_wires = wires;
-      long long server_done = 0;
-      std::string why;
-      if (!replay_transaction(fsm->requester, fsm->server, server_lag,
-                              replay_wires, expected, &server_done, &why)) {
-        skip(bus.name, "channel " + fsm->channel->name + ": " + why);
+      // Replay through the checker's timed run; on any failure mining of
+      // the lane stops, so `wires` may advance in place.
+      expected.clear();
+      const ComposeOutcome replay =
+          compose_timed(fsm.req.events, fsm.srv.events, &wires, server_lag,
+                        &expected);
+      if (!replay.completed) {
+        skip(bus.name,
+             "channel " + channel.name + ": " +
+                 (replay.budget_exhausted
+                      ? "replay step budget exhausted"
+                      : "replay deadlocked (static composition should "
+                        "have caught this)"));
         return;
       }
-      if (!match_transaction(bus, *fsm->channel, signal, expected, stream,
-                             pos)) {
+      if (!match_transaction(bus, channel, signal, expected, stream, pos)) {
         return;
       }
-      wires = std::move(replay_wires);
-      server_busy[fsm->channel->variable] =
-          t0 + static_cast<std::uint64_t>(server_done);
+      server_busy[channel.variable] =
+          t0 + static_cast<std::uint64_t>(replay.b_finish);
       ++report.transactions_mined;
+      ChannelTraffic& ct = *traffic[k];
+      ++ct.transactions;
+      for (const TimedEdge& edge : expected) {
+        if (edge.data) {
+          ct.word_times.push_back(t0 + static_cast<std::uint64_t>(edge.rel));
+        }
+      }
     }
   }
 
   void run(const std::vector<sim::TraceEntry>& trace) {
     for (const auto& bus : system.buses()) {
-      if (!refined(*bus)) continue;
+      if (!is_refined(system, *bus)) continue;
 
       std::vector<const Channel*> channels;
       for (const std::string& name : bus->channel_names) {
@@ -471,36 +330,54 @@ struct Miner {
         }
       }
       if (channels.empty()) continue;
+      // Every channel, in ID order (protocol generation assigns IDs in
+      // channel order).
+      BusTraffic& traffic = report.traffic.emplace_back();
+      traffic.bus = bus->name;
+      traffic.cycles_per_word =
+          estimate::protocol_timing(bus->protocol, bus->fixed_delay_cycles)
+              .cycles_per_word;
+      for (const Channel* ch : channels) {
+        traffic.channels.push_back(ChannelTraffic{ch->name, 0, {}});
+      }
+
+      if (bus->protocol != ProtocolKind::kHardwiredPort &&
+          channels.size() > 1 && !bus->arbitrated) {
+        std::set<std::string> masters;
+        for (const Channel* ch : channels) masters.insert(ch->accessor);
+        if (masters.size() > 1) {
+          skip(bus->name,
+               "multiple un-arbitrated masters share the bus; their "
+               "transactions may legitimately interleave, so serialized "
+               "mining would be unsound (synthesize with arbitration to "
+               "mine this bus)");
+          continue;
+        }
+      }
 
       // Lane split: hardwired ports give every channel its own signal;
       // every other protocol shares the bus record.
-      std::vector<std::pair<std::string, std::vector<const Channel*>>> lanes;
-      if (bus->protocol == ProtocolKind::kHardwiredPort) {
-        for (const Channel* ch : channels) {
-          lanes.emplace_back(
-              protocol::ProtocolGenerator::hardwired_signal_name(*bus, *ch),
-              std::vector<const Channel*>{ch});
+      struct Lane {
+        std::string signal;
+        std::vector<const Channel*> channels;
+        std::vector<ChannelTraffic*> traffic;
+      };
+      std::vector<Lane> lanes;
+      for (std::size_t i = 0; i < channels.size(); ++i) {
+        const std::string signal =
+            protocol::ProtocolGenerator::wire_context(*bus, *channels[i]).bus;
+        if (lanes.empty() || lanes.back().signal != signal) {
+          lanes.push_back(Lane{signal, {}, {}});
         }
-      } else {
-        if (channels.size() > 1 && !bus->arbitrated) {
-          std::set<std::string> masters;
-          for (const Channel* ch : channels) masters.insert(ch->accessor);
-          if (masters.size() > 1) {
-            skip(bus->name,
-                 "multiple un-arbitrated masters share the bus; their "
-                 "transactions may legitimately interleave, so serialized "
-                 "mining would be unsound (synthesize with arbitration to "
-                 "mine this bus)");
-            continue;
-          }
-        }
-        lanes.emplace_back(bus->name, channels);
+        lanes.back().channels.push_back(channels[i]);
+        lanes.back().traffic.push_back(&traffic.channels[i]);
       }
+      traffic.lanes = static_cast<int>(lanes.size());
 
-      for (const auto& [signal, lane_channels] : lanes) {
+      for (const Lane& lane : lanes) {
         std::vector<ObservedEdge> stream;
         for (const sim::TraceEntry& entry : trace) {
-          if (entry.key.signal != signal) continue;
+          if (entry.key.signal != lane.signal) continue;
           ObservedEdge edge;
           edge.time = entry.time;
           edge.delta = entry.delta;
@@ -510,7 +387,7 @@ struct Miner {
           stream.push_back(std::move(edge));
         }
         if (stream.empty()) continue;  // no traffic: nothing to mine
-        mine_lane(*bus, signal, lane_channels, stream);
+        mine_lane(*bus, lane.signal, lane.channels, lane.traffic, stream);
       }
     }
 

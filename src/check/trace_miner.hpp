@@ -16,13 +16,14 @@
 //
 // Algorithm (Sec. 16 has the worked examples):
 //
-//   1. Lane split: each refined shared bus is one lane (its record
-//      signal); a hardwired-port group contributes one lane per channel
-//      (its dedicated signal).
+//   1. Lane split: a lane is the signal a channel's traffic uses
+//      (ProtocolGenerator::wire_context): each refined shared bus is one
+//      lane (its record signal); a hardwired-port group contributes one
+//      lane per channel (its dedicated signal).
 //   2. Expected-edge replay: per transaction, the channel's requester and
 //      server FsmEvent sequences (check/protocol_fsm extraction) are
-//      replayed under the timed strobe-discipline semantics of
-//      compose_timed, against the lane's carried wire state. Every
+//      replayed through compose_timed -- the checker's own timed run --
+//      against the lane's carried wire state. Every
 //      control/ID assign that *changes* a wire becomes an expected edge
 //      with a relative commit time (the kernel traces changes only);
 //      DATA drives become optional edges (a repeated word commits
@@ -42,6 +43,11 @@
 // un-arbitrated masters (whose transactions legitimately interleave, so
 // serialized mining would be unsound), are skipped and reported as such
 // rather than guessed at.
+//
+// The matched transactions are also the measured bus traffic: the report
+// records, per channel, how many transactions matched and the instant of
+// every word they moved, which the CLI's --report renders as the
+// "Measured bus traffic" section (core::render_traffic_markdown).
 #pragma once
 
 #include <cstdint>
@@ -87,9 +93,30 @@ struct SkippedLane {
   std::string reason;
 };
 
+/// One channel's traffic as mined: whole matched transactions only (a
+/// cut-off transfer is a disagreement, not a partial count).
+struct ChannelTraffic {
+  std::string channel;
+  long long transactions = 0;
+  /// Instant of every word the matched transactions moved (t0 + rel of
+  /// each expected DATA drive), in time order.
+  std::vector<std::uint64_t> word_times;
+};
+
+/// Every channel of one refined bus the miner looked at, by channel ID.
+struct BusTraffic {
+  std::string bus;
+  int cycles_per_word = 0;  ///< Eq. 2 timing of the bus's protocol
+  int lanes = 1;  ///< signals it spreads over (hardwired: one per channel)
+  std::vector<ChannelTraffic> channels;
+};
+
 struct ConformanceReport {
   std::vector<Disagreement> disagreements;
   std::vector<SkippedLane> skipped;
+  /// One entry per refined bus with channels; a skipped or stopped bus
+  /// keeps whatever matched before the miner gave up on it.
+  std::vector<BusTraffic> traffic;
   long long transactions_mined = 0;
   long long edges_checked = 0;
   int lanes_mined = 0;

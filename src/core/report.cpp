@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -130,20 +131,44 @@ void render_metrics(std::ostringstream& os,
 
 }  // namespace
 
-std::string render_traffic_markdown(
-    const std::vector<protocol::BusTraffic>& traffic) {
+std::string render_traffic_markdown(const check::ConformanceReport& mined,
+                                    std::uint64_t end_time) {
+  // Why mining gave up on `bus`, or empty when it mined every lane.
+  const auto unmeasured = [&](const std::string& bus) -> std::string {
+    for (const check::SkippedLane& s : mined.skipped) {
+      if (s.bus == bus) return "mining skipped: " + s.reason;
+    }
+    for (const check::Disagreement& d : mined.disagreements) {
+      if (d.bus == bus) return d.to_string();
+    }
+    return "";
+  };
   std::ostringstream os;
   os << "## Measured bus traffic\n\n";
-  for (const protocol::BusTraffic& bus : traffic) {
-    os << "### " << bus.bus << " — " << bus.total_words << " words, "
-       << std::fixed << std::setprecision(1) << bus.utilization * 100
-       << " % utilization\n\n";
-    os << "| channel | transactions | words | first | last | residual |\n";
-    os << "|---|---|---|---|---|---|\n";
-    for (const protocol::ChannelTraffic& ct : bus.channels) {
+  for (const check::BusTraffic& bus : mined.traffic) {
+    const std::string why = unmeasured(bus.bus);
+    if (!why.empty()) {
+      os << "### " << bus.bus << " — not measured: " << why << "\n\n";
+      continue;
+    }
+    long long words = 0;
+    for (const check::ChannelTraffic& ct : bus.channels) {
+      words += static_cast<long long>(ct.word_times.size());
+    }
+    // Busy share of the run, averaged over the bus's lanes.
+    const double span = static_cast<double>(end_time) * bus.lanes;
+    const double utilization =
+        span > 0 ? std::min(1.0, words * bus.cycles_per_word / span) : 0.0;
+    os << "### " << bus.bus << " — " << words << " words, " << std::fixed
+       << std::setprecision(1) << utilization * 100 << " % utilization\n\n";
+    os << "| channel | transactions | words | first | last |\n";
+    os << "|---|---|---|---|---|\n";
+    for (const check::ChannelTraffic& ct : bus.channels) {
+      const bool moved = !ct.word_times.empty();
       os << "| " << ct.channel << " | " << ct.transactions << " | "
-         << ct.words << " | " << ct.first_word_time << " | "
-         << ct.last_word_time << " | " << ct.residual_words << " |\n";
+         << ct.word_times.size() << " | "
+         << (moved ? ct.word_times.front() : 0) << " | "
+         << (moved ? ct.word_times.back() : 0) << " |\n";
     }
     os << "\n";
   }

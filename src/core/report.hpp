@@ -6,16 +6,17 @@
 // generated wire budget and the co-simulation verdict. This is the
 // artifact a designer would attach to a design review; serve's synth
 // requests answer with it, and the CLI's --report appends the measured
-// per-channel traffic of a traced run (render_traffic_markdown).
+// per-channel traffic the conformance miner reads off a traced run
+// (render_traffic_markdown).
 #pragma once
 
 #include <optional>
 #include <string>
 
+#include "check/trace_miner.hpp"
 #include "core/equivalence.hpp"
 #include "core/interface_synthesizer.hpp"
 #include "obs/metrics.hpp"
-#include "protocol/trace_analyzer.hpp"
 #include "spec/system.hpp"
 
 namespace ifsyn::core {
@@ -36,10 +37,12 @@ struct ReportInputs {
 /// `synthesis` are optional; sections for absent inputs are omitted.
 std::string render_markdown_report(const ReportInputs& inputs);
 
-/// The "Measured bus traffic" section for protocol::analyze_trace output.
-/// Kept out of render_markdown_report: it needs an extra traced run that
-/// only the CLI's --report pays for.
-std::string render_traffic_markdown(
-    const std::vector<protocol::BusTraffic>& traffic);
+/// The "Measured bus traffic" section: the transactions check::
+/// mine_and_diff matched on a traced run that ended at `end_time`. A bus
+/// the miner skipped or stopped on gets a heading naming why instead of
+/// rows. Kept out of render_markdown_report: it needs an extra traced run
+/// that only the CLI's --report pays for.
+std::string render_traffic_markdown(const check::ConformanceReport& mined,
+                                    std::uint64_t end_time);
 
 }  // namespace ifsyn::core

@@ -30,6 +30,16 @@ long long words_per_message(int message_bits, int width) {
   return (static_cast<long long>(message_bits) + width - 1) / width;
 }
 
+TransactionWords transaction_words(const spec::Channel& channel, int width) {
+  if (!channel.is_read()) {
+    return {words_per_message(channel.message_bits(), width), 0};
+  }
+  return {channel.addr_bits > 0
+              ? words_per_message(channel.addr_bits, width)
+              : 1,
+          words_per_message(channel.data_bits, width)};
+}
+
 double bus_rate(int width, spec::ProtocolKind kind, int fixed_delay_cycles) {
   const ProtocolTiming timing = protocol_timing(kind, fixed_delay_cycles);
   return static_cast<double>(width) / timing.cycles_per_word;

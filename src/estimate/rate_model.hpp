@@ -44,6 +44,16 @@ ProtocolTiming protocol_timing(spec::ProtocolKind kind,
 /// ceil(message_bits / width): bus words per message.
 long long words_per_message(int message_bits, int width);
 
+/// Bus words one transaction of `channel` moves under the generated
+/// framing, counted from the requester's side: a write drives the
+/// addr&data message; a read drives its address (one dummy word for a
+/// scalar) and samples the data response.
+struct TransactionWords {
+  long long drives = 0;
+  long long samples = 0;
+};
+TransactionWords transaction_words(const spec::Channel& channel, int width);
+
 /// Eq. 2 generalized across protocols, in bits/clock.
 double bus_rate(int width, spec::ProtocolKind kind, int fixed_delay_cycles);
 

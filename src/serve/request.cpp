@@ -105,6 +105,9 @@ Status parse_options(const Json& json, RequestOptions& out) {
       return invalid_argument("unknown option '" + key + "'");
     }
   }
+  if (out.min_width && out.max_width && *out.min_width > *out.max_width) {
+    return invalid_argument("min_width exceeds max_width");
+  }
   return Status::ok();
 }
 

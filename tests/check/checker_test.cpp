@@ -48,13 +48,28 @@ System refined_fig3(ProtocolKind protocol = ProtocolKind::kFullHandshake,
 // ---- clean verdicts ---------------------------------------------------
 
 TEST(CheckerTest, Fig3IsCleanUnderEveryProtocol) {
-  for (ProtocolKind protocol :
-       {ProtocolKind::kFullHandshake, ProtocolKind::kHalfHandshake,
-        ProtocolKind::kFixedDelay, ProtocolKind::kHardwiredPort}) {
-    System system = refined_fig3(protocol, 3);
-    const CheckReport report = run_checks(system);
-    EXPECT_TRUE(report.clean())
-        << protocol_kind_name(protocol) << ":\n" << report.to_string();
+  // Exact work per protocol: states of the interleaved composition for
+  // the handshakes, steps of the timed run for the strobe protocols.
+  const struct {
+    ProtocolKind protocol;
+    std::uint64_t states_explored;
+  } cases[] = {
+      {ProtocolKind::kFullHandshake, 204},
+      {ProtocolKind::kHalfHandshake, 90},
+      {ProtocolKind::kFixedDelay, 90},
+      {ProtocolKind::kHardwiredPort, 98},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(protocol_kind_name(c.protocol));
+    System system = refined_fig3(c.protocol, 3);
+    obs::MetricsRegistry registry;
+    obs::ObsContext obs;
+    obs.metrics = &registry;
+    const CheckReport report = run_checks(system, {}, obs);
+    EXPECT_TRUE(report.clean()) << report.to_string();
+    EXPECT_EQ(registry.counter("check.channels_checked").value(), 4u);
+    EXPECT_EQ(registry.counter("check.fsm_states_explored").value(),
+              c.states_explored);
   }
 }
 
@@ -244,7 +259,7 @@ TEST(CheckerTest, ExportsCheckMetrics) {
   EXPECT_EQ(registry.counter("check.buses_checked").value(), 1u);
   EXPECT_EQ(registry.counter("check.channels_checked").value(), 4u);
   EXPECT_EQ(registry.counter("check.fsm_compositions").value(), 4u);
-  EXPECT_GT(registry.counter("check.fsm_states_explored").value(), 0u);
+  EXPECT_EQ(registry.counter("check.fsm_states_explored").value(), 204u);
   EXPECT_EQ(registry.counter("check.errors").value(), 0u);
 }
 

@@ -13,7 +13,8 @@ struct Fixture {
   spec::System refined;
   SynthesisReport synthesis;
   EquivalenceReport equivalence;
-  std::vector<protocol::BusTraffic> traffic;
+  check::ConformanceReport mined;
+  std::uint64_t end_time = 0;
 
   Fixture() : refined(suite::make_flc_kernel()) {
     spec::System original = refined.clone("original");
@@ -35,11 +36,9 @@ struct Fixture {
 
     sim::SimulationRun run = sim::simulate(refined, 10'000'000, true);
     EXPECT_TRUE(run.result.status.is_ok());
-    Result<std::vector<protocol::BusTraffic>> analyzed =
-        protocol::analyze_trace(refined, run.kernel->trace(),
-                                run.result.end_time);
-    EXPECT_TRUE(analyzed.is_ok());
-    traffic = std::move(analyzed).value();
+    mined = check::mine_and_diff(refined, run.kernel->trace());
+    EXPECT_TRUE(mined.clean()) << mined.to_string();
+    end_time = run.result.end_time;
   }
 };
 
@@ -64,9 +63,40 @@ TEST(ReportTest, FullReportHasAllSections) {
   EXPECT_NE(md.find("functional equivalence: **PASS**"), std::string::npos);
   // Measured traffic is a separate section the CLI appends.
   EXPECT_EQ(md.find("## Measured bus traffic"), std::string::npos);
-  const std::string traffic = render_traffic_markdown(f.traffic);
+  const std::string traffic = render_traffic_markdown(f.mined, f.end_time);
   EXPECT_EQ(traffic.rfind("## Measured bus traffic\n\n", 0), 0u) << traffic;
+  EXPECT_NE(traffic.find("| channel | transactions | words | first | last |"),
+            std::string::npos)
+      << traffic;
   EXPECT_NE(traffic.find("| ch1 | 128 |"), std::string::npos) << traffic;
+}
+
+TEST(ReportTest, TrafficNamesWhyABusWasNotMeasured) {
+  check::ConformanceReport mined;
+  mined.traffic.push_back(check::BusTraffic{"B", 2, 1, {{"CH0", 0, {}}}});
+  mined.traffic.push_back(check::BusTraffic{"C", 2, 1, {{"CH1", 1, {4, 6}}}});
+  mined.skipped.push_back(check::SkippedLane{"B", "why not"});
+  const std::string traffic = render_traffic_markdown(mined, 8);
+  EXPECT_EQ(traffic,
+            "## Measured bus traffic\n\n"
+            "### B — not measured: mining skipped: why not\n\n"
+            "### C — 2 words, 50.0 % utilization\n\n"
+            "| channel | transactions | words | first | last |\n"
+            "|---|---|---|---|---|\n"
+            "| CH1 | 1 | 2 | 4 | 6 |\n\n");
+
+  mined.skipped.clear();
+  check::Disagreement cut;
+  cut.bus = "C";
+  cut.channel = "CH1";
+  cut.time = 6;
+  cut.signal = "C.DONE";
+  cut.detail = "the trace ends";
+  mined.disagreements.push_back(cut);
+  EXPECT_NE(render_traffic_markdown(mined, 8)
+                .find("### C — not measured: conform.missing_event C/CH1 "
+                      "C.DONE@6.0: the trace ends\n\n"),
+            std::string::npos);
 }
 
 TEST(ReportTest, OptionalSectionsOmitted) {

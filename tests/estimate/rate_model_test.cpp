@@ -37,6 +37,33 @@ TEST(RateModelTest, WordsPerMessageIsCeil) {
   EXPECT_EQ(words_per_message(23, 1), 23);
 }
 
+TEST(RateModelTest, TransactionWordsFollowTheGeneratedFraming) {
+  spec::Channel write_scalar;
+  write_scalar.dir = spec::ChannelDir::kWrite;
+  write_scalar.data_bits = 16;
+  auto words = [](const spec::Channel& ch, int width) {
+    const TransactionWords w = transaction_words(ch, width);
+    return std::make_pair(w.drives, w.samples);
+  };
+  EXPECT_EQ(words(write_scalar, 8), std::make_pair(2LL, 0LL));  // Fig. 4
+  EXPECT_EQ(words(write_scalar, 16), std::make_pair(1LL, 0LL));
+
+  spec::Channel write_array = write_scalar;
+  write_array.addr_bits = 6;  // 22-bit addr&data message
+  EXPECT_EQ(words(write_array, 8), std::make_pair(3LL, 0LL));
+
+  spec::Channel read_scalar = write_scalar;
+  read_scalar.dir = spec::ChannelDir::kRead;
+  // One dummy request word, then two data words back.
+  EXPECT_EQ(words(read_scalar, 8), std::make_pair(1LL, 2LL));
+
+  spec::Channel read_array = write_array;
+  read_array.dir = spec::ChannelDir::kRead;
+  read_array.addr_bits = 7;
+  // ceil(7/8) = 1 address word, ceil(16/8) = 2 data words.
+  EXPECT_EQ(words(read_array, 8), std::make_pair(1LL, 2LL));
+}
+
 TEST(RateModelTest, BusRateEq2) {
   // BusRate = width / 2 for the full handshake (Eq. 2 in bits/clock).
   EXPECT_DOUBLE_EQ(bus_rate(8, ProtocolKind::kFullHandshake, 2), 4.0);

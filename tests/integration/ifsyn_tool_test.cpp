@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "check/trace_miner.hpp"
 #include "core/report.hpp"
 #include "obs/trace_sink.hpp"
-#include "protocol/trace_analyzer.hpp"
 #include "serve/service.hpp"
 #include "sim/interpreter.hpp"
 
@@ -160,30 +160,53 @@ TEST(IfsynToolTest, SynthAndExploreAcceptBuiltins) {
 }
 
 TEST(IfsynToolTest, ReportFileIsTheServiceReportPlusMeasuredTraffic) {
-  for (const char* name : {"fig3", "dma_stream", "flc_kernel"}) {
-    SCOPED_TRACE(name);
+  // Every protocol's traffic is mined, so fig3 gets the section under
+  // each of them, with one transaction per channel.
+  const struct {
+    const char* spec;
+    const char* protocol;
+    spec::ProtocolKind kind;
+  } cases[] = {
+      {"fig3", "full", spec::ProtocolKind::kFullHandshake},
+      {"dma_stream", "full", spec::ProtocolKind::kFullHandshake},
+      {"flc_kernel", "full", spec::ProtocolKind::kFullHandshake},
+      {"fig3", "half", spec::ProtocolKind::kHalfHandshake},
+      {"fig3", "fixed", spec::ProtocolKind::kFixedDelay},
+      {"fig3", "wired", spec::ProtocolKind::kHardwiredPort},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.spec) + " " + c.protocol);
     serve::Request request;
     request.op = serve::RequestOp::kSynth;
-    request.target = spec_file(name);
+    request.target = spec_file(c.spec);
     request.options.arbitrate = true;
+    request.options.protocol = c.kind;
     const serve::Response expected = execute(request);
     ASSERT_TRUE(expected.artifacts && expected.artifacts->refined);
     const spec::System& refined = *expected.artifacts->refined;
     const sim::SimulationRun traced =
         sim::simulate(refined, serve::kDefaultMaxTime, /*trace=*/true);
     ASSERT_TRUE(traced.result.status.is_ok());
-    Result<std::vector<protocol::BusTraffic>> traffic = protocol::analyze_trace(
-        refined, traced.kernel->trace(), traced.result.end_time);
-    ASSERT_TRUE(traffic.is_ok()) << traffic.status();
+    const check::ConformanceReport mined =
+        check::mine_and_diff(refined, traced.kernel->trace());
+    ASSERT_TRUE(mined.clean()) << mined.to_string();
+    ASSERT_FALSE(mined.traffic.empty());
+    if (std::string(c.spec) == "fig3") {
+      for (const check::ChannelTraffic& ct : mined.traffic[0].channels) {
+        EXPECT_EQ(ct.transactions, 1) << ct.channel;
+      }
+    }
 
     const fs::path report = scratch_file("report.md");
     const ToolRun run =
-        run_tool({request.target, "--arbitrate", "--report", report.string()});
+        run_tool({request.target, "--arbitrate", "--protocol", c.protocol,
+                  "--report", report.string()});
     EXPECT_EQ(run.exit_code, 0) << run.err;
     EXPECT_EQ(run.out, expected.report + "wrote synthesis report to " +
                            report.string() + "\n");
     EXPECT_EQ(read_file(report),
-              expected.report + core::render_traffic_markdown(*traffic));
+              expected.report + core::render_traffic_markdown(
+                                    mined, traced.result.end_time));
     fs::remove(report);
   }
 }
@@ -212,6 +235,7 @@ TEST(IfsynToolTest, RejectedFlagValuesAreUsageErrorsWithServesMessage) {
       {{"explore", fig3, "--top-k", "-3"}, "top_k out of range"},
       {{"explore", fig3, "--protocols", "full,nope"}, "unknown protocol 'nope'"},
       {{"explore", fig3, "--widths", "5"}, "--widths wants LO:HI"},
+      {{"explore", fig3, "--widths", "8:4"}, "min_width exceeds max_width"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.message);

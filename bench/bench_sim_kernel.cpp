@@ -211,17 +211,19 @@ int main() {
                 kernel.schedule_signal(req, BitVector::from_uint(1, 1));
                 { auto aw = kernel.wait_for(1); co_await aw; }
                 {
-                  auto aw = kernel.wait_until([&kernel, ack]() {
+                  auto cond = [&kernel, &ack]() {
                     return kernel.signal_value(ack).to_uint() == 1;
-                  });
+                  };
+                  auto aw = kernel.wait_until(cond);
                   co_await aw;
                 }
                 kernel.schedule_signal(req, BitVector::from_uint(1, 0));
                 { auto aw = kernel.wait_for(1); co_await aw; }
                 {
-                  auto aw = kernel.wait_until([&kernel, ack]() {
+                  auto cond = [&kernel, &ack]() {
                     return kernel.signal_value(ack).to_uint() == 0;
-                  });
+                  };
+                  auto aw = kernel.wait_until(cond);
                   co_await aw;
                 }
               }
@@ -232,16 +234,18 @@ int main() {
               const FieldKey ack{"ACK" + std::to_string(p), ""};
               for (int i = 0; i < words; ++i) {
                 {
-                  auto aw = kernel.wait_until([&kernel, req]() {
+                  auto cond = [&kernel, &req]() {
                     return kernel.signal_value(req).to_uint() == 1;
-                  });
+                  };
+                  auto aw = kernel.wait_until(cond);
                   co_await aw;
                 }
                 kernel.schedule_signal(ack, BitVector::from_uint(1, 1));
                 {
-                  auto aw = kernel.wait_until([&kernel, req]() {
+                  auto cond = [&kernel, &req]() {
                     return kernel.signal_value(req).to_uint() == 0;
-                  });
+                  };
+                  auto aw = kernel.wait_until(cond);
                   co_await aw;
                 }
                 kernel.schedule_signal(ack, BitVector::from_uint(1, 0));

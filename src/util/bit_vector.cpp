@@ -37,41 +37,66 @@ BitVector BitVector::from_binary_string(std::string_view bits) {
 }
 
 BitVector BitVector::slice(int hi, int lo) const {
-  IFSYN_ASSERT_MSG(0 <= lo && lo <= hi && hi < width_,
-                   "bad slice (" << hi << " downto " << lo << ") of width "
-                                 << width_);
+  check_slice(hi, lo);
   BitVector out(hi - lo + 1);
-  for (int i = 0; i < out.width_; ++i) out.set_bit(i, bit(lo + i));
+  std::uint64_t* o = out.words();
+  const std::uint64_t* src = words();
+  for (int k = 0, pos = lo; pos <= hi; ++k, pos += kWordBits) {
+    o[k] = extract(src, pos, std::min(kWordBits, hi - pos + 1));
+  }
   return out;
 }
 
 void BitVector::set_slice(int hi, int lo, const BitVector& value) {
-  IFSYN_ASSERT_MSG(0 <= lo && lo <= hi && hi < width_,
-                   "bad slice (" << hi << " downto " << lo << ") of width "
-                                 << width_);
+  check_slice(hi, lo);
   IFSYN_ASSERT_MSG(value.width_ == hi - lo + 1,
                    "slice width " << (hi - lo + 1) << " != value width "
                                   << value.width_);
-  for (int i = 0; i < value.width_; ++i) set_bit(lo + i, value.bit(i));
+  const std::uint64_t* v = value.words();
+  std::uint64_t* d = words();
+  for (int k = 0, pos = lo; pos <= hi; ++k, pos += kWordBits) {
+    deposit(d, pos, std::min(kWordBits, hi - pos + 1), v[k]);
+  }
 }
 
 BitVector BitVector::concat(const BitVector& low) const {
   BitVector out(width_ + low.width_);
-  if (low.width_ > 0) out.set_slice(low.width_ - 1, 0, low);
-  if (width_ > 0) out.set_slice(out.width_ - 1, low.width_, *this);
+  std::uint64_t* o = out.words();
+  std::copy_n(low.words(), low.nwords(), o);
+  const std::uint64_t* h = words();
+  for (int k = 0, bit = 0; bit < width_; ++k, bit += kWordBits) {
+    deposit(o, low.width_ + bit, std::min(kWordBits, width_ - bit), h[k]);
+  }
   return out;
 }
 
 BitVector BitVector::resized(int new_width) const {
   BitVector out(new_width);
-  const int n = std::min(word_count(width_), word_count(new_width));
+  const int n = std::min(nwords(), out.nwords());
   std::copy_n(words(), n, out.words());
   out.clear_padding();
   return out;
 }
 
+void BitVector::copy_wide(const BitVector& other) {
+  heap_ = std::make_unique_for_overwrite<std::uint64_t[]>(other.nwords());
+  std::copy_n(other.heap_.get(), other.nwords(), heap_.get());
+}
+
+void BitVector::assign_slow(const BitVector& other) {
+  if (!other.heap_) {
+    heap_.reset();
+  } else if (!heap_ || nwords() != other.nwords()) {
+    copy_wide(other);
+  } else {
+    std::copy_n(other.heap_.get(), other.nwords(), heap_.get());
+  }
+  width_ = other.width_;
+  word0_ = other.word0_;
+}
+
 std::uint64_t BitVector::to_uint_wide() const {
-  for (std::size_t w = 1; w < heap_.size(); ++w)
+  for (int w = 1, n = nwords(); w < n; ++w)
     IFSYN_ASSERT_MSG(heap_[w] == 0,
                      "BitVector value does not fit in 64 bits: "
                          << to_hex_string());

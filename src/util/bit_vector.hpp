@@ -9,19 +9,21 @@
 // specification reassembles it with `set_slice` -- exactly the
 // `txdata(8*J-1 downto 8*(J-1))` loops of Fig. 4 in the paper.
 //
-// Storage: values of width <= 64 live in a single inline word (no heap
-// allocation); wider values spill to a heap-backed word array. The
-// interpreter's expression evaluator creates and copies BitVectors per
-// AST node per delta cycle, and nearly every signal/variable in a spec is
-// a flag or a bus word, so the inline path is what the simulation hot
-// loop sees.
+// Storage: values of width <= 64 live in one inline word (no heap
+// allocation); wider values own a heap array sized to their word count.
+// The simulator creates and copies BitVectors per evaluated expression
+// and per signal commit, and nearly every signal/variable in a spec is a
+// flag or a bus word, so a narrow copy or move touches only the width and
+// the inline word. Slicing, concatenation and resizing work a word at a
+// time at every width. A moved-from BitVector has width 0.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/assert.hpp"
 
@@ -35,8 +37,39 @@ class BitVector {
   /// `width` zero bits.
   explicit BitVector(int width) : width_(width) {
     IFSYN_ASSERT_MSG(width >= 0, "negative BitVector width " << width);
-    if (width > kWordBits) heap_.assign(word_count(width), 0);
+    if (width > kWordBits) heap_ = std::make_unique<std::uint64_t[]>(nwords());
   }
+
+  BitVector(const BitVector& other)
+      : width_(other.width_), word0_(other.word0_) {
+    if (other.heap_) copy_wide(other);
+  }
+  BitVector(BitVector&& other) noexcept
+      : width_(other.width_), word0_(other.word0_),
+        heap_(std::move(other.heap_)) {
+    other.width_ = 0;
+    other.word0_ = 0;
+  }
+  BitVector& operator=(const BitVector& other) {
+    if (!heap_ && !other.heap_) {
+      width_ = other.width_;
+      word0_ = other.word0_;
+    } else if (this != &other) {
+      assign_slow(other);
+    }
+    return *this;
+  }
+  BitVector& operator=(BitVector&& other) noexcept {
+    if (this != &other) {
+      width_ = other.width_;
+      word0_ = other.word0_;
+      heap_ = std::move(other.heap_);
+      other.width_ = 0;
+      other.word0_ = 0;
+    }
+    return *this;
+  }
+  ~BitVector() = default;
 
   /// `width` bits holding `value mod 2^width` (unsigned interpretation).
   static BitVector from_uint(int width, std::uint64_t value) {
@@ -58,10 +91,8 @@ class BitVector {
     IFSYN_ASSERT_MSG(width >= 0 && width <= kWordBits,
                      "assign_uint width " << width << " out of [0,64]");
     width_ = width;
-    word0_ = width == 0 ? 0 : value;
-    if (!heap_.empty()) heap_.clear();
-    const int rem = width % kWordBits;
-    if (rem != 0) word0_ &= (std::uint64_t{1} << rem) - 1;
+    word0_ = value & low_mask(width);
+    if (heap_) heap_.reset();
   }
 
   /// Parse an MSB-first binary string, e.g. "00101". Underscores are
@@ -95,9 +126,30 @@ class BitVector {
   /// Asserts 0 <= lo <= hi < width. Result width = hi - lo + 1.
   BitVector slice(int hi, int lo) const;
 
+  /// Bits (hi downto lo) as an unsigned word, for slices of at most 64
+  /// bits: `slice(hi, lo).to_uint()` without the temporary. Same bounds
+  /// assert as slice.
+  std::uint64_t slice_uint(int hi, int lo) const {
+    check_slice(hi, lo);
+    IFSYN_ASSERT_MSG(hi - lo < kWordBits,
+                     "slice_uint of " << (hi - lo + 1) << " bits");
+    if (width_ <= kWordBits) return (word0_ >> lo) & low_mask(hi - lo + 1);
+    return extract(words(), lo, hi - lo + 1);
+  }
+
   /// Overwrite bits (hi downto lo) with `value`; value.width() must equal
   /// hi - lo + 1.
   void set_slice(int hi, int lo, const BitVector& value);
+
+  /// Overwrite bits (hi downto lo), at most 64 of them, with the low
+  /// hi - lo + 1 bits of `value`: `set_slice(hi, lo, from_uint(hi - lo +
+  /// 1, value))` without the temporary. Same bounds assert as set_slice.
+  void set_slice_uint(int hi, int lo, std::uint64_t value) {
+    check_slice(hi, lo);
+    IFSYN_ASSERT_MSG(hi - lo < kWordBits,
+                     "set_slice_uint of " << (hi - lo + 1) << " bits");
+    deposit(words(), lo, hi - lo + 1, value);
+  }
 
   /// Concatenation `*this & low`: *this becomes the high-order bits.
   /// Mirrors VHDL's `a & b`.
@@ -127,8 +179,8 @@ class BitVector {
   /// True iff every bit is zero. (Width-0 vectors are zero.)
   bool is_zero() const {
     if (width_ <= kWordBits) return word0_ == 0;
-    for (std::uint64_t w : heap_)
-      if (w != 0) return false;
+    for (int i = 0, n = nwords(); i < n; ++i)
+      if (heap_[i] != 0) return false;
     return true;
   }
 
@@ -147,7 +199,8 @@ class BitVector {
   friend bool operator==(const BitVector& a, const BitVector& b) {
     if (a.width_ != b.width_) return false;
     if (a.width_ <= kWordBits) return a.word0_ == b.word0_;
-    return a.heap_ == b.heap_;
+    return std::equal(a.heap_.get(), a.heap_.get() + a.nwords(),
+                      b.heap_.get());
   }
   friend bool operator!=(const BitVector& a, const BitVector& b) {
     return !(a == b);
@@ -165,23 +218,58 @@ class BitVector {
   static int word_count(int width) { return (width + kWordBits - 1) / kWordBits; }
   /// Number of storage words backing this value.
   int nwords() const { return word_count(width_); }
+  /// The low `bits` bits set, for 0 <= bits <= 64.
+  static std::uint64_t low_mask(int bits) {
+    return bits >= kWordBits ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << bits) - 1;
+  }
+  /// `count` (1..64) bits of `src` starting at bit `pos`.
+  static std::uint64_t extract(const std::uint64_t* src, int pos, int count) {
+    const int w = pos / kWordBits;
+    const int s = pos % kWordBits;
+    std::uint64_t v = src[w] >> s;
+    if (s != 0 && s + count > kWordBits) v |= src[w + 1] << (kWordBits - s);
+    return v & low_mask(count);
+  }
+  /// Overwrite `count` (1..64) bits of `dst` at bit `pos` with the low
+  /// `count` bits of `value`.
+  static void deposit(std::uint64_t* dst, int pos, int count,
+                      std::uint64_t value) {
+    const std::uint64_t m = low_mask(count);
+    value &= m;
+    const int w = pos / kWordBits;
+    const int s = pos % kWordBits;
+    dst[w] = (dst[w] & ~(m << s)) | (value << s);
+    if (s + count > kWordBits) {
+      const std::uint64_t hi_m = low_mask(s + count - kWordBits);
+      dst[w + 1] = (dst[w + 1] & ~hi_m) | (value >> (kWordBits - s));
+    }
+  }
+  void check_slice(int hi, int lo) const {
+    IFSYN_ASSERT_MSG(0 <= lo && lo <= hi && hi < width_,
+                     "bad slice (" << hi << " downto " << lo << ") of width "
+                                   << width_);
+  }
   /// Pointer to word storage: the inline word for width <= 64, else the
   /// heap array. Valid to dereference only for indices < nwords().
-  std::uint64_t* words() { return width_ <= kWordBits ? &word0_ : heap_.data(); }
-  const std::uint64_t* words() const {
-    return width_ <= kWordBits ? &word0_ : heap_.data();
-  }
+  std::uint64_t* words() { return heap_ ? heap_.get() : &word0_; }
+  const std::uint64_t* words() const { return heap_ ? heap_.get() : &word0_; }
   /// Zero any storage bits above `width_` (kept as an invariant so that
   /// equality and to_uint can operate word-wise).
   void clear_padding() {
     const int rem = width_ % kWordBits;
-    if (rem != 0) words()[nwords() - 1] &= (std::uint64_t{1} << rem) - 1;
+    if (rem != 0) words()[nwords() - 1] &= low_mask(rem);
   }
+  /// Allocate and fill heap storage from a wide `other` of this width.
+  void copy_wide(const BitVector& other);
+  /// Copy-assignment when either side is wide.
+  void assign_slow(const BitVector& other);
   std::uint64_t to_uint_wide() const;
 
   int width_ = 0;
-  std::uint64_t word0_ = 0;            // storage when width_ <= 64
-  std::vector<std::uint64_t> heap_;    // storage when width_ > 64
+  std::uint64_t word0_ = 0;  // storage when width_ <= 64, else 0
+  /// nwords() words when width_ > 64, else null.
+  std::unique_ptr<std::uint64_t[]> heap_;
 };
 
 std::ostream& operator<<(std::ostream& os, const BitVector& bv);

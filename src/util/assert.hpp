@@ -26,13 +26,24 @@ class InternalError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void assert_fail(const char* expr, const char* file,
-                                     int line, const std::string& msg) {
+[[noreturn, gnu::cold, gnu::noinline]] inline void assert_fail(
+    const char* expr, const char* file, int line, const std::string& msg) {
   std::ostringstream os;
   os << "ifsyn internal error: assertion `" << expr << "` failed at " << file
      << ":" << line;
   if (!msg.empty()) os << ": " << msg;
   throw InternalError(os.str());
+}
+
+/// IFSYN_ASSERT_MSG's failure path: formats the message by calling
+/// `stream(os)`. Out of line, so the stream code stays out of the
+/// functions that assert and they stay small enough to inline.
+template <class Stream>
+[[noreturn, gnu::cold, gnu::noinline]] void assert_fail_streamed(
+    const char* expr, const char* file, int line, const Stream& stream) {
+  std::ostringstream os;
+  stream(os);
+  assert_fail(expr, file, line, os.str());
 }
 
 }  // namespace detail
@@ -50,9 +61,8 @@ namespace detail {
 #define IFSYN_ASSERT_MSG(cond, msg)                                      \
   do {                                                                   \
     if (!(cond)) {                                                       \
-      std::ostringstream ifsyn_assert_os_;                               \
-      ifsyn_assert_os_ << msg;                                           \
-      ::ifsyn::detail::assert_fail(#cond, __FILE__, __LINE__,            \
-                                   ifsyn_assert_os_.str());              \
+      ::ifsyn::detail::assert_fail_streamed(                             \
+          #cond, __FILE__, __LINE__,                                     \
+          [&](std::ostream& ifsyn_assert_os_) { ifsyn_assert_os_ << msg; }); \
     }                                                                    \
   } while (false)

@@ -479,7 +479,7 @@ class ProcessCompiler {
     const auto count =
         static_cast<std::uint32_t>(prog_.cond_code.size()) - start;
     // ref_ops = count: the optimizer may shrink count but preserves
-    // ref_ops, which is what eval_cond charges to sim.vm.executed_ops.
+    // ref_ops, which is what eval_parked charges to sim.vm.executed_ops.
     CondProgram cp{.start = start, .count = count, .ref_ops = count};
     cp.sensitized = sensitize(cp);
     prog_.conds.push_back(cp);

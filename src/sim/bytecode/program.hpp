@@ -169,7 +169,7 @@ struct CondProgram {
   std::uint32_t count = 0;
   std::uint16_t result_reg = 0;
   bool sensitized = false;
-  /// Pre-optimization instruction count. eval_cond charges this to
+  /// Pre-optimization instruction count. eval_parked charges this to
   /// sim.vm.executed_ops (not `count`) so the counter reads identically
   /// whether or not the optimizer shrank the condition body.
   std::uint32_t ref_ops = 0;
